@@ -26,10 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dpotri
 
 from .gridio import write_f32grid
 
 _SYMMETRY_TOL = 1e-12
+
+
+class NonFiniteAffinityError(ValueError):
+    """An affinity matrix held a NaN or infinite entry."""
 
 
 @dataclass
@@ -45,37 +51,50 @@ class PrecisionSystem:
         return self.a0.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self.chol, rhs)
+        """A0^-1 rhs; ``rhs`` is not checked, the functions below check it."""
+        return cho_solve(self.chol, rhs, check_finite=False)
 
 
 def assemble(affinity: np.ndarray) -> PrecisionSystem:
     """Build and factorize A0 = I + D - R from an affinity matrix R.
 
     R must be square, finite, nonnegative, symmetric, and zero on the
-    diagonal; anything else is rejected.  Factorization failure would
+    diagonal; anything else is rejected, a NaN or infinite entry with
+    ``NonFiniteAffinityError``.  Asymmetry and diagonal entries within
+    rounding tolerance are cleaned away.  Factorization failure would
     contradict the positive-definiteness guarantee and is surfaced as a
     hard internal error.
     """
     r = np.asarray(affinity, dtype=np.float64)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError(f"affinity must be square, got shape {r.shape}")
-    if not np.isfinite(r).all():
-        raise ValueError("affinity entries must be finite")
-    if r.min() < 0.0:
+    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
+        raise ValueError(f"affinity must be a nonempty square matrix, got shape {r.shape}")
+    # min is NaN if any entry is; once R >= 0 holds, the row sums are
+    # finite exactly when every entry is
+    low = float(r.min())
+    if not np.isfinite(low):
+        raise NonFiniteAffinityError("affinity entries must be finite")
+    if low < 0.0:
         raise ValueError("affinity entries must be nonnegative")
-    scale = max(1.0, float(np.abs(r).max()))
-    if np.abs(r - r.T).max() > _SYMMETRY_TOL * scale:
+    degree = r.sum(axis=1)
+    if not np.isfinite(degree).all():
+        raise NonFiniteAffinityError("affinity entries and row sums must be finite")
+    tol = _SYMMETRY_TOL * max(1.0, float(r.max()))
+    a0 = np.subtract(r, r.T)  # the asymmetry; the buffer becomes A0 below
+    asymmetry = float(np.abs(a0, out=a0).max())
+    if asymmetry > tol:
         raise ValueError("affinity must be symmetric")
-    if r.shape[0] > 0 and np.abs(np.diagonal(r)).max() > _SYMMETRY_TOL * scale:
+    diagonal = np.diagonal(r)
+    if np.abs(diagonal).max() > tol:
         raise ValueError("affinity diagonal must be zero")
+    if asymmetry > 0.0 or diagonal.any():
+        r = 0.5 * (r + r.T)
+        np.fill_diagonal(r, 0.0)
+        degree = r.sum(axis=1)
 
-    r = 0.5 * (r + r.T)
-    np.fill_diagonal(r, 0.0)
-    a0 = -r
-    diag = 1.0 + r.sum(axis=1)
-    a0[np.diag_indices_from(a0)] = diag
+    np.negative(r, out=a0)
+    np.fill_diagonal(a0, 1.0 + degree)
     try:
-        factor = cho_factor(a0, lower=True)
+        factor = cho_factor(a0, lower=True, check_finite=False)
     except LinAlgError as err:  # unreachable for valid input
         raise RuntimeError("precision matrix lost positive definiteness") from err
     logdet = 2.0 * float(np.log(np.diagonal(factor[0])).sum())
@@ -117,11 +136,29 @@ def nll(system: PrecisionSystem, scores: np.ndarray, targets: np.ndarray) -> flo
     return quad - 0.5 * m * system.logdet_a0 + 0.5 * system.n * m * np.log(np.pi)
 
 
-def _affinity_grad_from_precision(da0: np.ndarray) -> np.ndarray:
+def unary_nll(scores: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """``nll`` and its score gradient at R = 0, where A0 = I.
+
+    Needs no system: MAP is the scores and log det A0 = 0.  The result is
+    bit-identical to ``nll``/``nll_backward`` on ``assemble(zeros)``.
+    """
+    z = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    if z.ndim != 2 or y.shape != z.shape:
+        raise ValueError(f"targets {y.shape} do not match scores {z.shape}")
+    n, m = z.shape
+    quad = float((y * y).sum() - 2.0 * (z * y).sum() + (z * z).sum())
+    return quad + 0.5 * n * m * np.log(np.pi), 2.0 * (z - y)
+
+
+def _affinity_grad(x: np.ndarray) -> np.ndarray:
     # A0 = I + D - R couples each symmetric affinity pair to two diagonal
-    # and two off-diagonal precision entries
-    diag = np.diagonal(da0)
-    daff = diag[:, None] + diag[None, :] - da0 - da0.T
+    # and two off-diagonal precision entries, so the pair gradient is
+    # daff[p, q] = dA0[p, p] + dA0[q, q] - dA0[p, q] - dA0[q, p].  Callers
+    # pass any x with x + x' equal to that off the diagonal; the sum of an
+    # entry and its mirror is the same float both ways round, so the
+    # result is exactly symmetric.
+    daff = np.add(x, x.T)
     np.fill_diagonal(daff, 0.0)
     return daff
 
@@ -140,9 +177,20 @@ def nll_backward(
     m = z.shape[1]
     w = system.solve(z)
     dscores = 2.0 * (w - y)
-    a0_inv = system.solve(np.eye(system.n))
-    da0 = y @ y.T - w @ w.T - 0.5 * m * a0_inv
-    return dscores, _affinity_grad_from_precision(da0)
+    # dA0 = y y' - w w' - (m/2) A0^-1.  potri turns the existing factor into
+    # the lower triangle of A0^-1; with the upper triangle zeroed, the
+    # triangle plus its mirror is A0^-1 off the diagonal
+    x, info = dpotri(system.chol[0], lower=1)
+    if info != 0:  # unreachable: the factor came from a successful potrf
+        raise RuntimeError(f"potri failed with info {info}")
+    for col in range(1, system.n):
+        x[:col, col] = 0.0
+    diag = (y * y).sum(axis=1) - (w * w).sum(axis=1) - 0.5 * m * np.diagonal(x)
+    # x <- m x + [y, w, diag] [-y, w, 1]', so x + x' = -2 dA0 + diag_p + diag_q
+    left = np.hstack([y, w, diag[:, None]])
+    right = np.hstack([-y, w, np.ones((system.n, 1))])
+    x = dgemm(1.0, left, right, beta=float(m), c=x, trans_b=1, overwrite_c=1)
+    return dscores, _affinity_grad(x)
 
 
 def map_backward(
@@ -156,9 +204,11 @@ def map_backward(
     """
     y = _check_scores(system, labelling, "labelling")
     g = system.solve(_check_scores(system, dlabelling, "dlabelling"))
-    da0 = -g @ y.T
-    da0 = 0.5 * (da0 + da0.T)
-    return g, _affinity_grad_from_precision(da0)
+    # dA0 is the symmetric part of -g y'; x = [g, diag] [y, 1]' gives
+    # x + x' = g y' + y g' + diag_p + diag_q = -2 dA0 + diag_p + diag_q
+    diag = -(g * y).sum(axis=1)
+    x = np.hstack([g, diag[:, None]]) @ np.hstack([y, np.ones((system.n, 1))]).T
+    return g, _affinity_grad(x)
 
 
 def dump_state(directory, affinity, system: PrecisionSystem, scores, labelling) -> None:

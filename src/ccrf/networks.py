@@ -14,6 +14,8 @@ reverse-mode backward passes need.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -139,6 +141,11 @@ class PairwiseNet:
     beta_raw: np.ndarray  # 0-d, unconstrained; beta = softplus(beta_raw)
     gamma: float = 0.1
 
+    def __post_init__(self):
+        # sqrt(gamma) scales the centroids inside the kernel
+        if not (np.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
+
     @property
     def beta(self) -> float:
         return float(softplus(self.beta_raw))
@@ -152,22 +159,31 @@ class PairwiseCache:
     mlp_cache: MlpCache
 
 
-def _squared_distances(points: np.ndarray) -> np.ndarray:
-    sq = (points * points).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    np.maximum(d2, 0.0, out=d2)
-    return 0.5 * (d2 + d2.T)  # force exact symmetry
+def _negated_squared_distances(points: np.ndarray) -> np.ndarray:
+    # x = [P, -|P|^2] [P, 1]' has x + x' = 2 <p, q> - |p|^2 - |q|^2; an
+    # entry plus its mirror is the same float both ways round, so the
+    # result is exactly symmetric
+    x = np.hstack([points, -(points * points).sum(axis=1)[:, None]]) @ np.hstack(
+        [points, np.ones((len(points), 1))]
+    ).T
+    return np.add(x, x.T)
 
 
 def pairwise_forward(pair: PairwiseNet, graph) -> tuple[np.ndarray, PairwiseCache]:
-    """Affinity matrix R (n, n): symmetric, nonnegative, zero diagonal."""
+    """Affinity matrix R (n, n): symmetric, nonnegative, zero diagonal.
+
+    The exponent is one negated squared distance between the stacked
+    points [s, sqrt(gamma) l].  A NaN embedding or scale propagates into
+    R rather than being flushed, so a broken field cannot pass as a
+    zero one.
+    """
     embeddings, mlp_cache = mlp_forward(pair.embed, graph.features)
-    exponent = -_squared_distances(embeddings) - pair.gamma * _squared_distances(
-        graph.centroids
+    kernel = _negated_squared_distances(
+        np.hstack([embeddings, np.sqrt(pair.gamma) * graph.centroids])
     )
-    kernel = np.where(
-        exponent >= _EXP_FLOOR, np.exp(np.maximum(exponent, _EXP_FLOOR)), 0.0
-    )
+    np.minimum(kernel, 0.0, out=kernel)  # cancellation can leave it above 0
+    kernel[kernel < _EXP_FLOOR] = -np.inf  # NaN compares false and stays
+    np.exp(kernel, out=kernel)
     np.fill_diagonal(kernel, 0.0)
     beta = pair.beta
     affinity = beta * kernel
@@ -184,11 +200,13 @@ def pairwise_backward(
     Each unordered pair contributes once, via d R[p,q] / d s_p =
     -2 R[p,q] (s_p - s_q) and d R[p,q] / d beta = kernel[p,q].
     """
-    daff = 0.5 * (daffinity + daffinity.T)
-    np.fill_diagonal(daff, 0.0)
-    dbeta = 0.5 * float((daff * cache.kernel).sum())
+    # twice the symmetrized gradient, weighted by the kernel
+    weighted = np.add(daffinity, daffinity.T)
+    np.fill_diagonal(weighted, 0.0)
+    weighted *= cache.kernel
+    dbeta = 0.25 * float(weighted.sum())
     dbeta_raw = dbeta * float(sigmoid(pair.beta_raw))
-    weighted = daff * (cache.beta * cache.kernel)
+    weighted *= 0.5 * cache.beta
     dembed = -2.0 * (
         weighted.sum(axis=1)[:, None] * cache.embeddings - weighted @ cache.embeddings
     )
@@ -257,31 +275,32 @@ def save_checkpoint(path, model: Model) -> None:
         _write_tensor(fh, "meta.tukey_c", np.array(model.tukey_c))
 
 
-def _read_exact(fh, count: int) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
+def _read_exact(fh, count: int, size: int) -> bytes:
+    # bounded by the bytes left in the file, so a corrupt length or shape
+    # is a ValueError rather than a huge allocation
+    if count > size - fh.tell():
         raise ValueError("truncated checkpoint")
-    return data
+    return fh.read(count)
 
 
 def load_checkpoint(path) -> Model:
     """Rebuild a model from its checkpoint container."""
     tensors: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a model checkpoint")
         while True:
             head = fh.read(4)
             if not head:
                 break
+            if len(head) != 4:
+                raise ValueError("truncated checkpoint")
             (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4))
-            shape = tuple(
-                struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank)
-            )
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8")
+            name = _read_exact(fh, name_len, size).decode("utf-8")
+            (rank,) = struct.unpack("<I", _read_exact(fh, 4, size))
+            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, size))
+            data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape), size), dtype="<f8")
             tensors[name] = data.reshape(shape).astype(np.float64)
 
     def collect(prefix: str) -> Mlp:

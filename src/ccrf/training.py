@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crf import assemble, map_backward, map_infer, nll, nll_backward
+from .crf import (
+    NonFiniteAffinityError,
+    assemble,
+    map_backward,
+    map_infer,
+    nll,
+    nll_backward,
+    unary_nll,
+)
 from .datasets import Dataset
 from .graph import NodeGraph, build_graph, node_pixel_counts
 from .losses import LossSpec, predict_labels, task_loss
@@ -35,12 +43,13 @@ class NonFiniteLossError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a nonfinite loss; carries the offending example."""
+    """Training hit a nonfinite loss, affinity or gradient; carries the
+    offending example."""
 
     def __init__(self, epoch: int, example_index: int, detail: str = ""):
         self.epoch = epoch
         self.example_index = example_index
-        message = f"nonfinite loss at epoch {epoch}, example {example_index}"
+        message = f"nonfinite value at epoch {epoch}, example {example_index}"
         if detail:
             message = f"{message}: {detail}"
         super().__init__(message)
@@ -73,6 +82,8 @@ class TrainConfig:
             raise ValueError("epoch counts must be nonnegative")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive or None")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if self.keep not in ("best", "last"):
             raise ValueError(f"keep must be 'best' or 'last', got {self.keep!r}")
 
@@ -159,10 +170,11 @@ def forward_loss(
 ):
     """One objective evaluation with gradients for every parameter.
 
-    ``unary_only`` freezes the pairwise stage at zero affinity: the field
-    reduces to independent per-node regression, pairwise parameters get
-    exactly zero gradient (no weight decay either), and the result is
-    bit-identical to running the full pipeline with beta = 0.
+    ``unary_only`` freezes the pairwise stage at zero affinity: A0 = I, so
+    the field reduces to independent per-node regression and no n x n
+    array is built.  Pairwise parameters get exactly zero gradient (no
+    weight decay either), and the result is bit-identical to running the
+    full pipeline with beta = 0.
     """
     targets = np.asarray(targets, dtype=np.float64)
     scores, unary_cache = unary_forward(model.unary, graph)
@@ -170,19 +182,25 @@ def forward_loss(
         raise ValueError(
             f"targets {targets.shape} do not match model output {scores.shape}"
         )
+    if not np.isfinite(scores).all():
+        raise NonFiniteLossError("unary scores are not finite")
+
     if unary_only:
-        affinity, pair_cache = np.zeros((graph.n, graph.n)), None
+        # the MAP labelling is the scores, and the solve backward is the identity
+        if loss_spec.kind == "loglik":
+            loss, dscores = unary_nll(scores, targets)
+        else:
+            loss, dscores = task_loss(loss_spec, scores, targets)
     else:
         affinity, pair_cache = pairwise_forward(model.pairwise, graph)
-    system = assemble(affinity)
-
-    if loss_spec.kind == "loglik":
-        loss = nll(system, scores, targets)
-        dscores, daffinity = nll_backward(system, scores, targets)
-    else:
-        labelling = map_infer(system, scores)
-        loss, dlabelling = task_loss(loss_spec, labelling, targets)
-        dscores, daffinity = map_backward(system, labelling, dlabelling)
+        system = assemble(affinity)
+        if loss_spec.kind == "loglik":
+            loss = nll(system, scores, targets)
+            dscores, daffinity = nll_backward(system, scores, targets)
+        else:
+            labelling = map_infer(system, scores)
+            loss, dlabelling = task_loss(loss_spec, labelling, targets)
+            dscores, daffinity = map_backward(system, labelling, dlabelling)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"objective returned {loss!r}")
 
@@ -210,10 +228,14 @@ def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
 
 
-def sgd_step(params, grads, velocity, config: TrainConfig):
-    """v <- momentum v - lr g; theta <- theta + v, with optional norm clip."""
+def sgd_step(params, grads, velocity, config: TrainConfig, norm: float | None = None):
+    """v <- momentum v - lr g; theta <- theta + v, with optional norm clip.
+
+    ``norm`` is the gradients' global norm when the caller already has it.
+    """
     if config.clip_norm is not None:
-        norm = global_grad_norm(grads)
+        if norm is None:
+            norm = global_grad_norm(grads)
         if norm > config.clip_norm:
             scale = config.clip_norm / norm
             grads = {name: g * scale for name, g in grads.items()}
@@ -368,11 +390,15 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainHistory]:
                     weight_decay=config.weight_decay,
                     unary_only=warm,
                 )
-            except NonFiniteLossError as err:
+            except (NonFiniteLossError, NonFiniteAffinityError) as err:
                 raise DivergenceError(epoch, int(j), str(err)) from err
+            # a NaN norm passes any clip test, so check before the update
+            norm = global_grad_norm(grads)
+            if not np.isfinite(norm):
+                raise DivergenceError(epoch, int(j), f"gradient norm is {norm!r}")
             loss_sum += loss
-            norm_sum += global_grad_norm(grads)
-            sgd_step(params, grads, velocity, config)
+            norm_sum += norm
+            sgd_step(params, grads, velocity, config, norm)
         _, metric = _validation_metric(model, val_ex, task)
         history.records.append(
             EpochRecord(

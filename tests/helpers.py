@@ -58,3 +58,32 @@ def model_param_fd(model, loss_fn, step=1e-5):
         else:
             out[name] = central_diff(lambda: loss_fn(), value, step)
     return out
+
+
+def reference_nll_backward(system, scores, targets):
+    """Likelihood gradients through an explicit inverse, unfused: the oracle
+    for ``nll_backward``."""
+    z = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(targets, dtype=np.float64)
+    m = z.shape[1]
+    w = system.solve(z)
+    a0_inv = system.solve(np.eye(system.n))
+    da0 = y @ y.T - w @ w.T - 0.5 * m * a0_inv
+    return 2.0 * (w - y), _reference_affinity_grad(da0)
+
+
+def reference_map_backward(system, labelling, dlabelling):
+    """Solve-backward gradients from a materialised symmetric dA0: the
+    oracle for ``map_backward``."""
+    y = np.asarray(labelling, dtype=np.float64)
+    g = system.solve(np.asarray(dlabelling, dtype=np.float64))
+    da0 = -g @ y.T
+    da0 = 0.5 * (da0 + da0.T)
+    return g, _reference_affinity_grad(da0)
+
+
+def _reference_affinity_grad(da0):
+    diag = np.diagonal(da0)
+    daff = diag[:, None] + diag[None, :] - da0 - da0.T
+    np.fill_diagonal(daff, 0.0)
+    return daff

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -159,6 +160,13 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_negative_gamma_is_a_data_error(self, tmp_path, capsys):
+        cfg = seg_config(tmp_path, gamma=-1)
+        data = synth_into(tmp_path, cfg)
+        code = cli.main(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "runs")])
+        assert code == 2
+        assert "gamma" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path):
         cfg = depth_config(
             tmp_path, loss="ls", lr="1e6", clip_norm="none",
@@ -210,6 +218,16 @@ class TestEval:
              "--out", str(tmp_path)]
         )
         assert code == 2
+
+    def test_checkpoint_shape_beyond_file_is_a_data_error(self, tmp_path, capsys):
+        data = synth_into(tmp_path, seg_config(tmp_path))
+        ckpt = tmp_path / "huge.ccrf"
+        ckpt.write_bytes(
+            b"CCRF1" + struct.pack("<I", 8) + b"unary.w0" + struct.pack("<4I", 3, *[2**32 - 1] * 3)
+        )
+        code = cli.main(["eval", "--ckpt", str(ckpt), "--data", data, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "truncated checkpoint" in capsys.readouterr().err
 
     def test_empty_test_split(self, tmp_path):
         no_test = seg_config(

@@ -10,9 +10,15 @@ from ccrf import (
     nll_backward,
     read_f32grid,
 )
-from ccrf.crf import dump_state
+from ccrf.crf import NonFiniteAffinityError, dump_state, unary_nll
 
-from helpers import central_diff, grad_rel_err, random_affinity
+from helpers import (
+    central_diff,
+    grad_rel_err,
+    random_affinity,
+    reference_map_backward,
+    reference_nll_backward,
+)
 
 
 def two_node_system(r12=1.0):
@@ -57,6 +63,34 @@ class TestAssemble:
             assemble(np.array([[0.0, 1.0], [2.0, 0.0]]))
         with pytest.raises(ValueError):
             assemble(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(ValueError):
+            assemble(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_entries_raise_their_own_error(self, bad):
+        r = random_affinity(np.random.default_rng(14), 6)
+        r[1, 4] = r[4, 1] = bad
+        with pytest.raises(NonFiniteAffinityError):
+            assemble(r)
+        assert issubclass(NonFiniteAffinityError, ValueError)
+
+    def test_symmetric_input_gives_the_textbook_precision(self):
+        # bit for bit: A0 = I + D - R, with D the row sums of R
+        r = random_affinity(np.random.default_rng(15), 40)
+        expected = -r
+        expected[np.diag_indices(40)] = 1.0 + r.sum(axis=1)
+        assert np.array_equal(assemble(r).a0, expected)
+
+    def test_rounding_asymmetry_is_cleaned(self):
+        rng = np.random.default_rng(16)
+        r = random_affinity(rng, 7)
+        r[2, 5] += 1e-15
+        r[3, 3] = 1e-16
+        system = assemble(r)
+        clean = 0.5 * (r + r.T)
+        np.fill_diagonal(clean, 0.0)
+        assert np.array_equal(system.a0, system.a0.T)
+        assert np.allclose(system.a0, assemble(clean).a0, rtol=0.0, atol=1e-15)
 
 
 class TestMapInfer:
@@ -230,6 +264,52 @@ class TestNllBackward:
         y = map_infer(system, z)
         dscores, _ = nll_backward(system, z, y)
         assert np.abs(dscores).max() < 1e-12
+
+
+class TestAgainstReferenceFormulas:
+    @pytest.mark.parametrize("n", [1, 2, 60])
+    def test_nll_backward_matches_explicit_inverse(self, n):
+        rng = np.random.default_rng(100 + n)
+        for m in (1, 3):
+            system = assemble(random_affinity(rng, n))
+            z = rng.standard_normal((n, m))
+            y = rng.standard_normal((n, m))
+            dscores, daff = nll_backward(system, z, y)
+            ref_dscores, ref_daff = reference_nll_backward(system, z, y)
+            assert np.array_equal(dscores, ref_dscores)
+            assert np.allclose(daff, ref_daff, rtol=1e-10, atol=1e-12)
+            assert np.array_equal(daff, daff.T)
+            assert np.all(np.diagonal(daff) == 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 60])
+    def test_map_backward_matches_unfused_formula(self, n):
+        rng = np.random.default_rng(200 + n)
+        for m in (1, 3):
+            system = assemble(random_affinity(rng, n))
+            y = map_infer(system, rng.standard_normal((n, m)))
+            dy = rng.standard_normal((n, m))
+            dscores, daff = map_backward(system, y, dy)
+            ref_dscores, ref_daff = reference_map_backward(system, y, dy)
+            assert np.array_equal(dscores, ref_dscores)
+            assert np.allclose(daff, ref_daff, rtol=1e-10, atol=1e-12)
+            assert np.array_equal(daff, daff.T)
+            assert np.all(np.diagonal(daff) == 0.0)
+
+
+class TestUnaryNll:
+    def test_bit_identical_to_zero_affinity(self):
+        rng = np.random.default_rng(17)
+        for n, m in ((1, 1), (5, 1), (9, 3)):
+            z = rng.standard_normal((n, m))
+            y = rng.standard_normal((n, m))
+            system = assemble(np.zeros((n, n)))
+            value, dscores = unary_nll(z, y)
+            assert value == nll(system, z, y)
+            assert np.array_equal(dscores, nll_backward(system, z, y)[0])
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            unary_nll(np.zeros((3, 1)), np.zeros((3, 2)))
 
 
 class TestMapBackward:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,20 @@ class TestPairwiseForward:
         aff, _ = pairwise_forward(net, graph)
         assert aff[0, 1] == 0.0
 
+    def test_nan_embedding_weight_is_not_flushed(self):
+        # a broken embedding must not pass as a zero affinity
+        rng = np.random.default_rng(3)
+        net = PairwiseNet(Mlp.create(rng, [5, 6, 4]), np.array(0.7), 0.1)
+        net.embed.weights[0][0, 0] = np.nan
+        graph = graph_of(rng.uniform(0, 1, (6, 5)), rng.uniform(0, 1, (6, 2)))
+        aff, _ = pairwise_forward(net, graph)
+        assert np.isnan(aff).any()
+
+    @pytest.mark.parametrize("gamma", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_gamma(self, gamma):
+        with pytest.raises(ValueError):
+            fixed_identity_pairwise(gamma=gamma)
+
 
 class TestPairwiseBackward:
     def test_gradients_match_finite_differences(self):
@@ -333,6 +349,24 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_rejects_shape_larger_than_file(self, tmp_path):
+        # a (2^32 - 1)^3 tensor header must not turn into an allocation
+        path = tmp_path / "huge.ccrf"
+        header = struct.pack("<I", 6) + b"unary0" + struct.pack("<4I", 3, *[2**32 - 1] * 3)
+        path.write_bytes(b"CCRF1" + header + b"\x00" * 64)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("gamma", [np.nan, -0.5, np.inf])
+    def test_rejects_bad_gamma(self, tmp_path, gamma):
+        rng = np.random.default_rng(4)
+        model = build_model(rng, feature_dim=3, output_dim=2)
+        model.pairwise.gamma = gamma
+        path = tmp_path / "model.ccrf"
+        save_checkpoint(path, model)
         with pytest.raises(ValueError):
             load_checkpoint(path)
 

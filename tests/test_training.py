@@ -14,6 +14,7 @@ from ccrf import (
     sgd_step,
     synth_dataset,
     train,
+    training,
 )
 from ccrf.training import (
     EpochRecord,
@@ -83,6 +84,9 @@ class TestTrainConfig:
             TrainConfig(clip_norm=0.0)
         with pytest.raises(ValueError):
             TrainConfig(keep="median")
+        for gamma in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                TrainConfig(gamma=gamma)
 
 
 class TestConfigParsing:
@@ -191,22 +195,47 @@ class TestForwardLoss:
 
     def test_unary_only_matches_zero_beta(self):
         # freezing the pairwise stage must be bit-identical to beta = 0
-        rng = np.random.default_rng(2)
-        model = build_model(rng, 4, 2, hidden_dims=(5,), embed_hidden_dims=(5,), embed_dim=3)
-        graph = random_graph(rng, 5)
-        targets = one_hot_targets(rng, 5, 2)
+        cases = (
+            (LossSpec("softmax"), lambda rng: one_hot_targets(rng, 5, 2)),
+            (LossSpec("loglik"), lambda rng: rng.uniform(0, 1, (5, 1))),
+            (LossSpec("tukey", 0.5), lambda rng: rng.uniform(0, 1, (5, 1))),
+            (LossSpec("ls"), lambda rng: rng.uniform(0, 1, (5, 1))),
+        )
+        for spec, targets_of in cases:
+            rng = np.random.default_rng(2)
+            targets = targets_of(rng)
+            model = build_model(
+                rng, 4, targets.shape[1], hidden_dims=(5,), embed_hidden_dims=(5,), embed_dim=3
+            )
+            graph = random_graph(rng, 5)
 
-        loss_frozen, grads_frozen = forward_loss(
-            model, graph, targets, LossSpec("softmax"), unary_only=True
-        )
-        model.pairwise.beta_raw[...] = -np.inf  # softplus(-inf) = 0
-        loss_zero, grads_zero = forward_loss(
-            model, graph, targets, LossSpec("softmax"), unary_only=False
-        )
-        assert loss_frozen == loss_zero
-        for name in grads_frozen:
-            if name.startswith("unary."):
-                assert np.array_equal(grads_frozen[name], grads_zero[name]), name
+            loss_frozen, grads_frozen = forward_loss(
+                model, graph, targets, spec, unary_only=True
+            )
+            model.pairwise.beta_raw[...] = -np.inf  # softplus(-inf) = 0
+            loss_zero, grads_zero = forward_loss(
+                model, graph, targets, spec, unary_only=False
+            )
+            assert loss_frozen == loss_zero, spec.kind
+            for name in grads_frozen:
+                if name.startswith("unary."):
+                    assert np.array_equal(grads_frozen[name], grads_zero[name]), (spec.kind, name)
+
+    @pytest.mark.parametrize("kind", ["loglik", "softmax"])
+    def test_unary_only_builds_no_field(self, monkeypatch, kind):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("warm-up step reached the field")
+
+        allowed = {"softmax": ("task_loss",), "loglik": ()}[kind]
+        for name in ("pairwise_forward", "assemble", "map_infer", "map_backward",
+                     "nll", "nll_backward", "task_loss"):
+            if name not in allowed:
+                monkeypatch.setattr(training, name, forbidden)
+        rng = np.random.default_rng(5)
+        model = build_model(rng, 4, 2, hidden_dims=(5,), embed_hidden_dims=(5,), embed_dim=3)
+        targets = one_hot_targets(rng, 6, 2) if kind == "softmax" else rng.uniform(0, 1, (6, 2))
+        loss, _ = forward_loss(model, random_graph(rng, 6), targets, LossSpec(kind), unary_only=True)
+        assert np.isfinite(loss)
 
     def test_weight_decay_adds_linear_term(self):
         rng = np.random.default_rng(3)
@@ -259,6 +288,15 @@ class TestSgdStep:
         velocity = {"w": np.zeros(1)}
         sgd_step(params, {"w": np.array([0.5])}, velocity, cfg)
         assert params["w"][0] == pytest.approx(-0.5)
+
+    def test_given_norm_matches_computed_norm(self):
+        cfg = TrainConfig(lr=1.0, momentum=0.0, clip_norm=1.0)
+        grads = {"w": np.array([3.0, 4.0])}
+        given = {"w": np.zeros(2)}
+        computed = {"w": np.zeros(2)}
+        sgd_step(given, grads, {"w": np.zeros(2)}, cfg, global_grad_norm(grads))
+        sgd_step(computed, grads, {"w": np.zeros(2)}, cfg)
+        assert np.array_equal(given["w"], computed["w"])
 
     def test_global_grad_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
@@ -362,6 +400,69 @@ class TestTrain:
                 train(ds, cfg)
         assert info.value.epoch >= 0
         assert info.value.example_index >= 0
+
+    @staticmethod
+    def spy_forward_loss(monkeypatch, corrupt_grads=None):
+        """Record the graph of every training step, optionally corrupting grads."""
+        graphs = []
+        real = training.forward_loss
+
+        def spy(model, graph, *args, **kwargs):
+            graphs.append(graph)
+            loss, grads = real(model, graph, *args, **kwargs)
+            if corrupt_grads is not None:
+                corrupt_grads(grads)
+            return loss, grads
+
+        monkeypatch.setattr(training, "forward_loss", spy)
+        return graphs
+
+    @staticmethod
+    def index_of(ds, graph):
+        prepared = prepare_examples(ds.train)
+        return next(
+            k for k, ex in enumerate(prepared) if np.array_equal(ex.graph.features, graph.features)
+        )
+
+    def test_nan_embedding_weight_diverges_at_its_example(self, monkeypatch):
+        def poisoned(*args, **kwargs):
+            model = build_model(*args, **kwargs)
+            model.pairwise.embed.weights[0][0, 0] = np.nan
+            return model
+
+        monkeypatch.setattr(training, "build_model", poisoned)
+        graphs = self.spy_forward_loss(monkeypatch)
+        ds = small_seg_dataset()
+        with pytest.raises(DivergenceError) as info:
+            train(ds, tiny_config(unary_warmup_epochs=0))
+        assert len(graphs) == 1
+        assert info.value.epoch == 0
+        assert info.value.example_index == self.index_of(ds, graphs[0])
+        assert "affinity" in str(info.value)
+
+    def test_nan_gradient_stops_before_the_update(self, monkeypatch):
+        snapshots = []
+
+        def recorded(*args, **kwargs):
+            model = build_model(*args, **kwargs)
+            snapshots.append((model, {k: v.copy() for k, v in model.parameters().items()}))
+            return model
+
+        def nan_bias(grads):
+            grads["unary.b0"][0] = np.nan
+
+        monkeypatch.setattr(training, "build_model", recorded)
+        graphs = self.spy_forward_loss(monkeypatch, nan_bias)
+        ds = small_seg_dataset()
+        with pytest.raises(DivergenceError) as info:
+            train(ds, tiny_config())
+        assert len(graphs) == 1
+        assert info.value.epoch == 0
+        assert info.value.example_index == self.index_of(ds, graphs[0])
+        assert "gradient" in str(info.value)
+        model, initial = snapshots[0]
+        for name, value in model.parameters().items():
+            assert np.array_equal(value, initial[name]), name
 
     def test_best_epoch_restored(self):
         # returned parameters reproduce the best recorded validation metric
