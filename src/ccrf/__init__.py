@@ -15,7 +15,7 @@ from .crf import (
     nll_backward,
 )
 from .datasets import Dataset, LabeledExample, load_dataset, save_dataset
-from .gridio import read_f32grid, read_pnm, write_f32grid, write_pnm
+from .gridio import read_f32grid, write_f32grid
 from .graph import (
     ImageGrid,
     NodeGraph,

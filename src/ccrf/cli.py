@@ -15,10 +15,9 @@ import hashlib
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .datasets import load_dataset, save_dataset
+from .datasets import Dataset, load_dataset, save_dataset
 from .losses import LOSS_KINDS, LossSpec
 from .networks import load_checkpoint, save_checkpoint
 from .scenes import CorruptionSpec, SyntheticSceneSpec, corrupt_dataset, synth_dataset
@@ -38,14 +37,11 @@ EXIT_DATA = 2
 EXIT_DIVERGED = 3
 EXIT_PARTIAL = 4
 
-_SEG_SWEEP_DEFAULT = "2,4,8"
-_CORRUPTION_SWEEP = (
-    ("0%", None),
-    ("10% noise", ("gaussian_noise", 0.10)),
-    ("25% noise", ("gaussian_noise", 0.25)),
-    ("10% outlier", ("outlier", 0.10)),
-    ("25% outlier", ("outlier", 0.25)),
-)
+# config keys that describe a synthetic dataset, with their parsers; a key
+# the config leaves out takes the library's default
+_SCENE_KEYS = {"task": str, "size": int, "classes": int, "shape_count": int,
+               "noise_level": float, "target_nodes": int, "seed": int}
+_SPLIT_KEYS = {"count": int, "train_frac": float, "val_frac": float}
 
 
 class _UsageError(Exception):
@@ -119,16 +115,11 @@ def _write_run_manifest(run_dir, run_id, command, args, config) -> None:
         fh.write("\n")
 
 
-def _scene_spec(config: dict[str, str]) -> SyntheticSceneSpec:
-    return SyntheticSceneSpec(
-        task=config.get("task", "segmentation"),
-        size=int(config.get("size", 64)),
-        classes=int(config.get("classes", 4)),
-        shape_count=int(config.get("shape_count", 6)),
-        noise_level=float(config.get("noise_level", 0.2)),
-        target_nodes=int(config.get("target_nodes", 100)),
-        seed=int(config.get("seed", 0)),
-    )
+def _synth_dataset(config: dict[str, str]) -> Dataset:
+    def given(keys):
+        return {key: parse(config[key]) for key, parse in keys.items() if key in config}
+
+    return synth_dataset(SyntheticSceneSpec(**given(_SCENE_KEYS)), **given(_SPLIT_KEYS))
 
 
 def _write_table(run_dir, stem, header, rows) -> None:
@@ -151,13 +142,7 @@ def _fmt_metric(value: float) -> str:
 
 def _cmd_synth(args) -> int:
     config = _effective_config(parse_config(args.config), {"seed": args.seed})
-    spec = _scene_spec(config)
-    dataset = synth_dataset(
-        spec,
-        count=int(config.get("count", 10)),
-        train_frac=float(config.get("train_frac", 0.6)),
-        val_frac=float(config.get("val_frac", 0.2)),
-    )
+    dataset = _synth_dataset(config)
     run_dir, run_id = _run_dir(args.out, "synth", config)
     save_dataset(dataset, run_dir)
     _write_run_manifest(run_dir, run_id, "synth", args, config)
@@ -198,18 +183,13 @@ def _cmd_eval(args) -> int:
     examples = prepare_examples(dataset.test)
     if not examples:
         raise ValueError(f"{args.data}: test split is empty")
+    keys = _TASKS[dataset.task].metrics
     rows = []
-    if dataset.task == "segmentation":
-        header = ["variant", "pix_acc", "class_acc", "avg_jaccard", "freq_jaccard"]
-        keys = ["pixel_acc", "class_acc", "avg_jaccard", "freq_jaccard"]
-    else:
-        header = ["variant", "rel", "log10", "rms", "delta1", "delta2", "delta3"]
-        keys = ["rel", "log10", "rms", "delta1", "delta2", "delta3"]
     for variant, unary_only in (("unary", True), ("full", False)):
         scores = evaluate(model, examples, dataset.task, unary_only=unary_only)
         rows.append([variant] + [_fmt_metric(scores[key]) for key in keys])
     run_dir, run_id = _run_dir(args.out, "eval", {"ckpt": args.ckpt, "data": args.data})
-    _write_table(run_dir, "metrics", header, rows)
+    _write_table(run_dir, "metrics", ["variant", *_columns(keys)], rows)
     _write_run_manifest(run_dir, run_id, "eval", args, {"seed": "0"})
     for row in rows:
         print("  ".join(str(cell) for cell in row))
@@ -217,116 +197,113 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _train_and_eval(dataset, config):
-    model, _ = train(dataset, config)
-    return evaluate(model, prepare_examples(dataset.test), dataset.task)
+class _Task(NamedTuple):
+    """What eval reports on a task, and the sweep ablate runs on it."""
+
+    metrics: tuple  # eval's metric keys, in column order
+    column: str  # the ablate table's cell column
+    losses: tuple
+    sweep_metrics: tuple
+    plot_metric: str
+    plots: dict  # svg stem -> (title, xlabel, ylabel)
+    base: dict  # config defaults the sweep puts under the user's config
+    cells: Callable  # config -> iterable of (label, dataset, {svg stem: x})
+
+
+def _class_count_cells(config):
+    for m in [int(v) for v in config.get("ablate_classes", "2,4,8").split(",")]:
+        yield m, _synth_dataset({**config, "classes": str(m)}), {"pixel_acc_vs_classes": m}
+
+
+_CORRUPTION_SWEEP = (  # label, corruption kind, fraction, svg stem
+    ("10% noise", "gaussian_noise", 0.10, "delta_vs_noise"),
+    ("25% noise", "gaussian_noise", 0.25, "delta_vs_noise"),
+    ("10% outlier", "outlier", 0.10, "delta_vs_outliers"),
+    ("25% outlier", "outlier", 0.25, "delta_vs_outliers"),
+)
+
+
+def _corruption_cells(config):
+    sigma = float(config.get("noise_sigma", CorruptionSpec.sigma))
+    magnitude = float(config.get("outlier_magnitude", CorruptionSpec.magnitude))
+    seed = int(config.get("seed", SyntheticSceneSpec.seed))
+    clean = _synth_dataset(config)
+    yield "0%", clean, {"delta_vs_noise": 0.0, "delta_vs_outliers": 0.0}
+    for label, kind, fraction, stem in _CORRUPTION_SWEEP:
+        corruption = CorruptionSpec(kind, fraction, sigma=sigma, magnitude=magnitude)
+        yield label, corrupt_dataset(clean, corruption, seed), {stem: 100 * fraction}
+
+
+_DEPTH_METRICS = ("rel", "log10", "rms", "delta1", "delta2", "delta3")
+_PERCENT = "corrupted nodes (%)"
+_TASKS = {
+    "segmentation": _Task(
+        metrics=("pixel_acc", "class_acc", "avg_jaccard", "freq_jaccard"),
+        column="classes",
+        losses=("softmax", "loglik"),
+        sweep_metrics=("pixel_acc", "class_acc"),
+        plot_metric="pixel_acc",
+        plots={
+            "pixel_acc_vs_classes": ("pixel accuracy vs class count", "classes", "pixel accuracy")
+        },
+        base={},
+        cells=_class_count_cells,
+    ),
+    "depth": _Task(
+        metrics=_DEPTH_METRICS,
+        column="corruption",
+        losses=("loglik", "tukey"),
+        sweep_metrics=_DEPTH_METRICS,
+        plot_metric="delta1",
+        plots={
+            "delta_vs_noise": ("threshold accuracy vs label noise", _PERCENT, "delta < 1.25"),
+            "delta_vs_outliers": ("threshold accuracy vs outliers", _PERCENT, "delta < 1.25"),
+        },
+        # corruption hits train and val alike, so the val metric cannot
+        # rank checkpoints; default to final-epoch params for the sweep
+        base={"keep": "last"},
+        cells=_corruption_cells,
+    ),
+}
+
+
+def _columns(keys) -> list[str]:
+    return ["pix_acc" if key == "pixel_acc" else key for key in keys]
 
 
 def _cmd_ablate(args) -> int:
     mapping = _effective_config(parse_config(args.config), {"seed": args.seed})
     run_dir, run_id = _run_dir(args.out, "ablate", mapping)
-    task = mapping.get("task", "segmentation")
-    count = int(mapping.get("count", 10))
-    train_frac = float(mapping.get("train_frac", 0.6))
-    val_frac = float(mapping.get("val_frac", 0.2))
-    seed = int(mapping.get("seed", 0))
+    task = mapping.get("task", SyntheticSceneSpec.task)
+    if task not in _TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    sweep = _TASKS[task]
+    configs = {
+        kind: config_from_mapping({**sweep.base, **mapping, "loss": kind}) for kind in sweep.losses
+    }
+    curves = {stem: {kind: ([], []) for kind in sweep.losses} for stem in sweep.plots}
     failures = 0
     rows = []
-
-    if task == "segmentation":
-        class_counts = [
-            int(v) for v in mapping.get("ablate_classes", _SEG_SWEEP_DEFAULT).split(",")
-        ]
-        losses = ("softmax", "loglik")
-        header = ["classes", "loss", "pix_acc", "class_acc", "status"]
-        curves = {kind: ([], []) for kind in losses}
-        for m in class_counts:
-            cell_mapping = dict(mapping)
-            cell_mapping["classes"] = str(m)
-            spec = _scene_spec(cell_mapping)
-            dataset = synth_dataset(spec, count, train_frac, val_frac)
-            for kind in losses:
-                config = config_from_mapping({**cell_mapping, "loss": kind})
-                try:
-                    scores = _train_and_eval(dataset, config)
-                except DivergenceError as err:
-                    failures += 1
-                    rows.append([m, kind, "nan", "nan", f"diverged ({err})"])
-                    continue
-                rows.append(
-                    [
-                        m,
-                        kind,
-                        _fmt_metric(scores["pixel_acc"]),
-                        _fmt_metric(scores["class_acc"]),
-                        "ok",
-                    ]
-                )
-                curves[kind][0].append(m)
-                curves[kind][1].append(scores["pixel_acc"])
-        series = [
-            (kind, xs, ys) for kind, (xs, ys) in curves.items() if xs
-        ]
+    for label, dataset, plot_xs in sweep.cells(mapping):
+        for kind in sweep.losses:
+            try:
+                model, _ = train(dataset, configs[kind])
+            except DivergenceError as err:
+                failures += 1
+                rows.append([label, kind, *["nan"] * len(sweep.sweep_metrics), f"diverged ({err})"])
+                continue
+            scores = evaluate(model, prepare_examples(dataset.test), task)
+            rows.append([label, kind, *[_fmt_metric(scores[k]) for k in sweep.sweep_metrics], "ok"])
+            for stem, x in plot_xs.items():
+                curves[stem][kind][0].append(x)
+                curves[stem][kind][1].append(scores[sweep.plot_metric])
+    for stem, (title, xlabel, ylabel) in sweep.plots.items():
+        series = [(kind, xs, ys) for kind, (xs, ys) in curves[stem].items() if xs]
         if series:
-            line_plot(
-                os.path.join(run_dir, "pixel_acc_vs_classes.svg"),
-                series,
-                title="pixel accuracy vs class count",
-                xlabel="classes",
-                ylabel="pixel accuracy",
-            )
-    else:
-        losses = ("loglik", "tukey")
-        header = ["corruption", "loss", "rel", "log10", "rms", "delta1", "delta2", "delta3", "status"]
-        spec = _scene_spec(mapping)
-        clean = synth_dataset(spec, count, train_frac, val_frac)
-        sigma = float(mapping.get("noise_sigma", 0.1))
-        magnitude = float(mapping.get("outlier_magnitude", 5.0))
-        noise_curves = {kind: ([], []) for kind in losses}
-        outlier_curves = {kind: ([], []) for kind in losses}
-        for label, cell in _CORRUPTION_SWEEP:
-            if cell is None:
-                dataset = clean
-            else:
-                corruption = CorruptionSpec(cell[0], cell[1], sigma=sigma, magnitude=magnitude)
-                dataset = corrupt_dataset(clean, corruption, seed)
-            for kind in losses:
-                # corruption hits train and val alike, so the val metric cannot
-                # rank checkpoints; default to final-epoch params for the sweep
-                config = config_from_mapping({"keep": "last", **mapping, "loss": kind})
-                try:
-                    scores = _train_and_eval(dataset, config)
-                except DivergenceError as err:
-                    failures += 1
-                    rows.append([label, kind] + ["nan"] * 6 + [f"diverged ({err})"])
-                    continue
-                rows.append(
-                    [label, kind]
-                    + [
-                        _fmt_metric(scores[key])
-                        for key in ("rel", "log10", "rms", "delta1", "delta2", "delta3")
-                    ]
-                    + ["ok"]
-                )
-                fraction = 0.0 if cell is None else cell[1]
-                for curve, wanted in ((noise_curves, "gaussian_noise"), (outlier_curves, "outlier")):
-                    if cell is None or cell[0] == wanted:
-                        curve[kind][0].append(100 * fraction)
-                        curve[kind][1].append(scores["delta1"])
-        for stem, curveset, title in (
-            ("delta_vs_noise", noise_curves, "threshold accuracy vs label noise"),
-            ("delta_vs_outliers", outlier_curves, "threshold accuracy vs outliers"),
-        ):
-            series = [(kind, xs, ys) for kind, (xs, ys) in curveset.items() if xs]
-            if series:
-                line_plot(
-                    os.path.join(run_dir, f"{stem}.svg"),
-                    series,
-                    title=title,
-                    xlabel="corrupted nodes (%)",
-                    ylabel="delta < 1.25",
-                )
+            path = os.path.join(run_dir, f"{stem}.svg")
+            line_plot(path, series, title=title, xlabel=xlabel, ylabel=ylabel)
 
+    header = [sweep.column, "loss", *_columns(sweep.sweep_metrics), "status"]
     _write_table(run_dir, "ablate", header, rows)
     _write_run_manifest(run_dir, run_id, "ablate", args, mapping)
     for row in rows:

@@ -21,15 +21,12 @@ n x n system blockwise, one solve per score column.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotri
-
-from .gridio import write_f32grid
 
 _SYMMETRY_TOL = 1e-12
 
@@ -210,11 +207,3 @@ def map_backward(
     x = np.hstack([g, diag[:, None]]) @ np.hstack([y, np.ones((system.n, 1))]).T
     return g, _affinity_grad(x)
 
-
-def dump_state(directory, affinity, system: PrecisionSystem, scores, labelling) -> None:
-    """Write (R, A0, Z, Yhat) as .f32grid files for offline inspection."""
-    os.makedirs(directory, exist_ok=True)
-    write_f32grid(os.path.join(directory, "affinity.f32grid"), affinity)
-    write_f32grid(os.path.join(directory, "precision.f32grid"), system.a0)
-    write_f32grid(os.path.join(directory, "scores.f32grid"), scores)
-    write_f32grid(os.path.join(directory, "map.f32grid"), labelling)

@@ -64,6 +64,9 @@ class SuperpixelSegmentation:
             raise ValueError(f"label map must be 2-D, got shape {label_map.shape}")
         if self.n < 1:
             raise ValueError(f"need at least one node, got {self.n}")
+        # some node would own no pixel; say so before bincount allocates n counters
+        if self.n > label_map.size:
+            raise ValueError(f"{self.n} nodes cannot each own one of {label_map.size} pixels")
         if label_map.min() < 0 or label_map.max() >= self.n:
             raise ValueError("node indices must lie in [0, n)")
         counts = np.bincount(label_map.ravel(), minlength=self.n)
@@ -248,16 +251,6 @@ def _merge_orphan_components(labels: np.ndarray) -> np.ndarray:
                 changed = True
         if not changed:
             return labels
-
-
-def connectivity_violations(seg: SuperpixelSegmentation) -> list[int]:
-    """Node indices whose pixels form more than one 4-connected component."""
-    bad = []
-    for lab in range(seg.n):
-        _, count = ndimage.label(seg.label_map == lab, structure=_FOUR_CONNECTED)
-        if count > 1:
-            bad.append(lab)
-    return bad
 
 
 def compute_pixel_features(image: ImageGrid) -> np.ndarray:

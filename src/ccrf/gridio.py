@@ -1,8 +1,7 @@
-"""Raw binary grid files and portable any-map images.
+"""Raw binary grid files.
 
 A ``.f32grid`` file is a little-endian header of three u32 values
-(height, width, channels) followed by row-major float32 data.  Binary
-P5/P6 portable any-maps cover interchange with standard image tools.
+(height, width, channels) followed by row-major float32 data.
 """
 
 from __future__ import annotations
@@ -42,65 +41,3 @@ def read_f32grid(path) -> np.ndarray:
     arr = data.reshape(height, width, channels).astype(np.float64)
     return arr[:, :, 0] if channels == 1 else arr
 
-
-def _read_token(fh) -> bytes:
-    # skips whitespace and '#' comments between header fields
-    token = b""
-    while True:
-        ch = fh.read(1)
-        if not ch:
-            raise ValueError("unexpected end of image header")
-        if ch == b"#" and not token:
-            while ch and ch != b"\n":
-                ch = fh.read(1)
-            continue
-        if ch.isspace():
-            if token:
-                return token
-            continue
-        token += ch
-
-
-def read_pnm(path) -> np.ndarray:
-    """Read a binary P5 graymap or P6 pixmap as intensities in [0, 1]."""
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-        if magic not in (b"P5", b"P6"):
-            raise ValueError(f"{path}: unsupported image magic {magic!r}")
-        width = int(_read_token(fh))
-        height = int(_read_token(fh))
-        maxval = int(_read_token(fh))
-        if not 0 < maxval < 65536:
-            raise ValueError(f"{path}: bad maxval {maxval}")
-        channels = 1 if magic == b"P5" else 3
-        count = height * width * channels
-        dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
-        raw = fh.read()
-    if len(raw) < count * dtype.itemsize:
-        raise ValueError(f"{path}: truncated pixel data")
-    values = np.frombuffer(raw, dtype=dtype, count=count).astype(np.float64) / maxval
-    values = values.reshape(height, width, channels)
-    return values[:, :, 0] if channels == 1 else values
-
-
-def write_pnm(path, values, maxval: int = 255) -> None:
-    """Write intensities in [0, 1] as binary P5 (2-D input) or P6 (3-channel)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 3 and arr.shape[2] == 1:
-        arr = arr[:, :, 0]
-    if arr.ndim == 2:
-        magic = b"P5"
-    elif arr.ndim == 3 and arr.shape[2] == 3:
-        magic = b"P6"
-    else:
-        raise ValueError(f"expected (H, W) or (H, W, 3) values, got shape {arr.shape}")
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValueError("intensities must lie in [0, 1]")
-    if not 0 < maxval < 65536:
-        raise ValueError(f"bad maxval {maxval}")
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
-    quantized = np.rint(arr * maxval).astype(dtype)
-    height, width = arr.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n%d\n" % (width, height, maxval))
-        fh.write(quantized.tobytes())

@@ -24,8 +24,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss {self.kind!r}, expected one of {LOSS_KINDS}")
-        if self.c <= 0:
-            raise ValueError(f"clipping constant must be positive, got {self.c}")
+        if not (np.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"clipping constant must be finite and positive, got {self.c}")
 
 
 def _check_pair(predicted, targets):
@@ -38,27 +38,22 @@ def _check_pair(predicted, targets):
     return yhat, y
 
 
-def softmax_loss(predicted, targets, negate_scores: bool = False):
+def softmax_loss(predicted, targets):
     """Row-wise cross entropy of softmax(predicted) against one-hot targets.
 
     Row maxima are subtracted before exponentiation, so the value is
     invariant to per-row constant shifts and safe at extreme margins.
-    ``negate_scores`` applies the softmax to -predicted instead, for
-    replicating formulations that score the negated vector; decoding by
-    row argmax matches the default orientation.
     """
     yhat, y = _check_pair(predicted, targets)
     if yhat.shape[1] < 2:
         raise ValueError("softmax needs at least two classes")
     if not (((y == 0.0) | (y == 1.0)).all() and (y.sum(axis=1) == 1.0).all()):
         raise ValueError("targets must be one-hot rows")
-    scores = -yhat if negate_scores else yhat
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    shifted = yhat - yhat.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_prob = shifted - log_norm
     loss = -float((y * log_prob).sum())
-    dscores = np.exp(log_prob) - y
-    return loss, -dscores if negate_scores else dscores
+    return loss, np.exp(log_prob) - y
 
 
 def predict_labels(predicted) -> np.ndarray:

@@ -317,6 +317,8 @@ def load_checkpoint(path) -> Model:
     for required in ("pair.beta_raw", "pair.gamma", "meta.tukey_c"):
         if required not in tensors:
             raise ValueError(f"checkpoint is missing tensor '{required}'")
+        if tensors[required].shape != ():
+            raise ValueError(f"checkpoint tensor '{required}' must be a scalar")
     pairwise = PairwiseNet(
         collect("pair"),
         np.array(float(tensors["pair.beta_raw"]), dtype=np.float64),

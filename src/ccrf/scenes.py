@@ -10,7 +10,7 @@ segmentation, which is what training consumes.
 from __future__ import annotations
 
 import colorsys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ _CORRUPTION_KINDS = ("gaussian_noise", "outlier")
 class SyntheticSceneSpec:
     """Everything a scene draw depends on, seed included."""
 
-    task: str
+    task: str = "segmentation"
     size: int = 64
     classes: int = 4
     shape_count: int = 6
@@ -207,7 +207,7 @@ def gen_scene(spec: SyntheticSceneSpec) -> LabeledExample:
 
 
 def synth_dataset(
-    base: SyntheticSceneSpec, count: int, train_frac: float = 0.6, val_frac: float = 0.2
+    base: SyntheticSceneSpec, count: int = 10, train_frac: float = 0.6, val_frac: float = 0.2
 ) -> Dataset:
     """Generate ``count`` scenes (seed + index each) and split them in order."""
     if count < 1:
@@ -216,16 +216,7 @@ def synth_dataset(
         raise ValueError("split fractions must be nonnegative and sum to at most 1")
     examples = []
     for i in range(count):
-        spec = SyntheticSceneSpec(
-            task=base.task,
-            size=base.size,
-            classes=base.classes,
-            shape_count=base.shape_count,
-            noise_level=base.noise_level,
-            target_nodes=base.target_nodes,
-            seed=base.seed + i,
-        )
-        examples.append(gen_scene(spec))
+        examples.append(gen_scene(replace(base, seed=base.seed + i)))
     n_train = int(train_frac * count + 0.5)
     n_val = int(val_frac * count + 0.5)
     n_train = min(n_train, count)

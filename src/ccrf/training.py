@@ -72,23 +72,27 @@ class TrainConfig:
     keep: str = "best"
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        # NaN fails every comparison, so each constant is checked finite first
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.epochs < 0 or self.unary_warmup_epochs < 0:
             raise ValueError("epoch counts must be nonnegative")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive or None")
+        if self.clip_norm is not None and not (np.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be finite and positive or None, got {self.clip_norm}")
         if not (np.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if self.keep not in ("best", "last"):
             raise ValueError(f"keep must be 'best' or 'last', got {self.keep!r}")
 
 
-def _parse_dims(text: str) -> tuple:
+def _parse_dims(mapping: dict[str, str], key: str, default: tuple) -> tuple:
+    if key not in mapping:
+        return default
+    text = mapping[key]
     dims = tuple(int(part) for part in text.split(",") if part.strip())
     if not dims:
         raise ValueError(f"empty layer list {text!r}")
@@ -133,8 +137,8 @@ def config_from_mapping(mapping: dict[str, str]) -> TrainConfig:
         ),
         seed=int(mapping.get("seed", defaults.seed)),
         clip_norm=clip,
-        hidden_dims=_parse_dims(mapping.get("hidden_dims", "64")),
-        embed_hidden_dims=_parse_dims(mapping.get("embed_hidden_dims", "64")),
+        hidden_dims=_parse_dims(mapping, "hidden_dims", defaults.hidden_dims),
+        embed_hidden_dims=_parse_dims(mapping, "embed_hidden_dims", defaults.embed_hidden_dims),
         embed_dim=int(mapping.get("embed_dim", defaults.embed_dim)),
         gamma=float(mapping.get("gamma", defaults.gamma)),
         keep=mapping.get("keep", defaults.keep),
@@ -160,6 +164,20 @@ def prepare_examples(examples) -> list[PreparedExample]:
     return prepared
 
 
+def _infer(model: Model, graph: NodeGraph, targets: np.ndarray, unary_only: bool):
+    """Unary scores, then the precision system, with both stages' caches;
+    ``unary_only`` stops at the scores (A0 = I) and returns None for the rest."""
+    scores, unary_cache = unary_forward(model.unary, graph)
+    if targets.shape != scores.shape:
+        raise ValueError(
+            f"targets {targets.shape} do not match model output {scores.shape}"
+        )
+    if unary_only:
+        return scores, None, unary_cache, None
+    affinity, pair_cache = pairwise_forward(model.pairwise, graph)
+    return scores, assemble(affinity), unary_cache, pair_cache
+
+
 def forward_loss(
     model: Model,
     graph: NodeGraph,
@@ -177,11 +195,7 @@ def forward_loss(
     full pipeline with beta = 0.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    scores, unary_cache = unary_forward(model.unary, graph)
-    if targets.shape != scores.shape:
-        raise ValueError(
-            f"targets {targets.shape} do not match model output {scores.shape}"
-        )
+    scores, system, unary_cache, pair_cache = _infer(model, graph, targets, unary_only)
     if not np.isfinite(scores).all():
         raise NonFiniteLossError("unary scores are not finite")
 
@@ -192,8 +206,6 @@ def forward_loss(
         else:
             loss, dscores = task_loss(loss_spec, scores, targets)
     else:
-        affinity, pair_cache = pairwise_forward(model.pairwise, graph)
-        system = assemble(affinity)
         if loss_spec.kind == "loglik":
             loss = nll(system, scores, targets)
             dscores, daffinity = nll_backward(system, scores, targets)
@@ -286,16 +298,9 @@ def _predictions(model: Model, examples, task: str, unary_only: bool = False):
     """Concatenated (pred, true, pixel_count) vectors over all examples."""
     preds, trues, weights = [], [], []
     for ex in examples:
-        scores, _ = unary_forward(model.unary, ex.graph)
-        if ex.targets.shape != scores.shape:
-            raise ValueError(
-                f"targets {ex.targets.shape} do not match model output {scores.shape}"
-            )
-        if unary_only:
-            labelling = scores
-        else:
-            affinity, _ = pairwise_forward(model.pairwise, ex.graph)
-            labelling = map_infer(assemble(affinity), scores)
+        scores, system, _, _ = _infer(model, ex.graph, ex.targets, unary_only)
+        labelling = scores if system is None else map_infer(system, scores)
+        del system  # n x n: free it before the next example builds its own
         if task == "segmentation":
             preds.append(predict_labels(labelling))
             trues.append(np.argmax(ex.targets, axis=1))

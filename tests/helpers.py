@@ -1,6 +1,7 @@
 """Shared test utilities: finite differences and random valid inputs."""
 
 import numpy as np
+from scipy import ndimage
 
 from ccrf import NodeGraph, assemble
 
@@ -46,6 +47,17 @@ def random_graph(rng, n, feature_dim=4):
         rng.normal(size=(n, feature_dim)),
         rng.uniform(0.0, 1.0, size=(n, 2)),
     )
+
+
+def connectivity_violations(seg):
+    """Node indices whose pixels form more than one 4-connected component."""
+    four_connected = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    bad = []
+    for lab in range(seg.n):
+        _, count = ndimage.label(seg.label_map == lab, structure=four_connected)
+        if count > 1:
+            bad.append(lab)
+    return bad
 
 
 def model_param_fd(model, loss_fn, step=1e-5):

@@ -5,7 +5,18 @@ import struct
 import numpy as np
 import pytest
 
-from ccrf import cli, load_checkpoint, load_dataset
+from ccrf import (
+    SyntheticSceneSpec,
+    build_model,
+    cli,
+    load_checkpoint,
+    load_dataset,
+    read_f32grid,
+    save_checkpoint,
+    save_dataset,
+    synth_dataset,
+    write_f32grid,
+)
 
 
 def write_config(path, **kv):
@@ -92,6 +103,19 @@ class TestSynth:
         entries = [e for e in os.listdir(out) if e.startswith("synth-")]
         assert len(entries) == 2
 
+    def test_unset_keys_take_library_defaults(self, tmp_path):
+        cfg = write_config(tmp_path / "depth.cfg", task="depth")
+        out = str(tmp_path / "runs")
+        assert cli.main(["synth", "--config", cfg, "--out", out]) == 0
+        run_dir = only_run_dir(out, "synth")
+        expected = tmp_path / "expected"
+        save_dataset(synth_dataset(SyntheticSceneSpec("depth"), 10), expected)
+        names = sorted(os.listdir(expected))
+        assert sorted(os.listdir(run_dir)) == sorted(names + ["manifest.json"])
+        for name in names:
+            with open(os.path.join(run_dir, name), "rb") as got:
+                assert got.read() == (expected / name).read_bytes(), name
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(
             ["synth", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)]
@@ -167,6 +191,14 @@ class TestTrain:
         assert code == 2
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["lr", "weight_decay", "clip_norm", "tukey_c"])
+    def test_nan_constant_is_a_data_error(self, tmp_path, capsys, key):
+        data = synth_into(tmp_path, seg_config(tmp_path))
+        cfg = seg_config(tmp_path, name="nan.cfg", **{key: "nan"})
+        code = cli.main(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "runs")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path):
         cfg = depth_config(
             tmp_path, loss="ls", lr="1e6", clip_norm="none",
@@ -229,6 +261,30 @@ class TestEval:
         assert code == 2
         assert "truncated checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["pair.gamma", "pair.beta_raw", "meta.tukey_c"])
+    def test_vector_scalar_in_checkpoint_is_a_data_error(self, tmp_path, capsys, name):
+        data = synth_into(tmp_path, seg_config(tmp_path))
+        ckpt = tmp_path / "vector.ccrf"
+        save_checkpoint(ckpt, build_model(np.random.default_rng(0), 10, 3))
+        # a later tensor of the same name replaces the saved scalar
+        encoded = name.encode()
+        with open(ckpt, "ab") as fh:
+            fh.write(struct.pack("<I", len(encoded)) + encoded + struct.pack("<2I", 1, 2))
+            fh.write(np.array([0.1, 0.2], dtype="<f8").tobytes())
+        code = cli.main(["eval", "--ckpt", str(ckpt), "--data", data, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert name in capsys.readouterr().err
+
+    def test_node_index_beyond_pixel_count_is_a_data_error(self, tmp_path, capsys):
+        data, ckpt = self.trained_run(tmp_path, seg_config(tmp_path))
+        seg_path = os.path.join(data, "test_0000_seg.f32grid")
+        seg = read_f32grid(seg_path)
+        seg[0, 0] = 1e12
+        write_f32grid(seg_path, seg)
+        code = cli.main(["eval", "--ckpt", ckpt, "--data", data, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "pixels" in capsys.readouterr().err
+
     def test_empty_test_split(self, tmp_path):
         no_test = seg_config(
             tmp_path, name="no_test.cfg", count=2, train_frac="1.0", val_frac="0.0"
@@ -268,5 +324,6 @@ class TestAblate:
         assert table[0] == "corruption,loss,rel,log10,rms,delta1,delta2,delta3,status"
         # 5 corruption cells x 2 losses
         assert len(table) == 11
-        assert os.path.exists(os.path.join(run_dir, "delta_vs_noise.svg"))
-        assert os.path.exists(os.path.join(run_dir, "delta_vs_outliers.svg"))
+        for stem in ("delta_vs_noise", "delta_vs_outliers"):
+            svg = open(os.path.join(run_dir, f"{stem}.svg")).read()
+            assert svg.startswith("<svg") and "loglik" in svg and "tukey" in svg

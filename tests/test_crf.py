@@ -8,9 +8,8 @@ from ccrf import (
     map_infer,
     nll,
     nll_backward,
-    read_f32grid,
 )
-from ccrf.crf import NonFiniteAffinityError, dump_state, unary_nll
+from ccrf.crf import NonFiniteAffinityError, unary_nll
 
 from helpers import (
     central_diff,
@@ -344,16 +343,3 @@ class TestMapBackward:
                     fd = (up - down) / (2 * eps)
                     assert daff[p, q] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
-
-class TestDumpState:
-    def test_writes_readable_grids(self, tmp_path):
-        rng = np.random.default_rng(13)
-        aff = random_affinity(rng, 4)
-        system = assemble(aff)
-        z = rng.standard_normal((4, 2))
-        y = map_infer(system, z)
-        dump_state(tmp_path, aff, system, z, y)
-        assert np.allclose(read_f32grid(tmp_path / "affinity.f32grid"), aff, atol=1e-6)
-        assert np.allclose(read_f32grid(tmp_path / "precision.f32grid"), system.a0, atol=1e-5)
-        assert np.allclose(read_f32grid(tmp_path / "scores.f32grid"), z, atol=1e-6)
-        assert np.allclose(read_f32grid(tmp_path / "map.f32grid"), y, atol=1e-6)

@@ -12,7 +12,8 @@ from ccrf import (
     pool_features,
     slic_segment,
 )
-from ccrf.graph import connectivity_violations
+
+from helpers import connectivity_violations
 
 
 def constant_image(height=16, width=16, value=0.5, channels=1):

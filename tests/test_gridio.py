@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from ccrf.gridio import read_f32grid, read_pnm, write_f32grid, write_pnm
+from ccrf.gridio import read_f32grid, write_f32grid
 
 
 def test_f32grid_roundtrip_2d(tmp_path):
@@ -45,44 +45,3 @@ def test_f32grid_rejects_bad_rank(tmp_path):
     with pytest.raises(ValueError):
         write_f32grid(tmp_path / "e.f32grid", np.ones(5))
 
-
-def test_pnm_gray_roundtrip(tmp_path):
-    path = tmp_path / "g.pgm"
-    values = np.linspace(0, 1, 64).reshape(8, 8)
-    write_pnm(path, values)
-    back = read_pnm(path)
-    assert back.shape == (8, 8)
-    assert np.abs(back - values).max() <= 0.5 / 255 + 1e-12
-
-
-def test_pnm_color_roundtrip(tmp_path):
-    path = tmp_path / "g.ppm"
-    rng = np.random.default_rng(0)
-    values = rng.uniform(0, 1, (8, 10, 3))
-    write_pnm(path, values)
-    back = read_pnm(path)
-    assert back.shape == (8, 10, 3)
-    assert np.abs(back - values).max() <= 0.5 / 255 + 1e-12
-
-
-def test_pnm_header_comments(tmp_path):
-    path = tmp_path / "h.pgm"
-    body = bytes(range(6))
-    path.write_bytes(b"P5\n# a comment\n3 2\n255\n" + body)
-    back = read_pnm(path)
-    assert back.shape == (2, 3)
-    assert np.allclose(back, np.arange(6).reshape(2, 3) / 255.0)
-
-
-def test_pnm_16bit(tmp_path):
-    path = tmp_path / "i.pgm"
-    write_pnm(path, np.full((8, 8), 0.25), maxval=65535)
-    back = read_pnm(path)
-    assert np.abs(back - 0.25).max() <= 0.5 / 65535
-
-
-def test_pnm_rejects_unknown_magic(tmp_path):
-    path = tmp_path / "j.pbm"
-    path.write_bytes(b"P4\n8 8\n" + bytes(8))
-    with pytest.raises(ValueError):
-        read_pnm(path)
