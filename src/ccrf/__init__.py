@@ -7,6 +7,7 @@ task-specific losses, with a synthetic-experiment harness.
 
 from .crf import (
     PrecisionSystem,
+    Workspace,
     assemble,
     energy,
     map_backward,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dtrmm
 from scipy.linalg.lapack import dpotri
 
 _SYMMETRY_TOL = 1e-12
@@ -35,25 +35,64 @@ class NonFiniteAffinityError(ValueError):
     """An affinity matrix held a NaN or infinite entry."""
 
 
+class Workspace:
+    """Named n x n float64 arrays that live across calls of the same n.
+
+    The field functions take one as ``work`` and write their n x n results
+    into its arrays instead of fresh ones; an array is reallocated only
+    when n changes.  A result written there stays valid only until the
+    next call that writes the same name: "kernel" (the Gaussian kernel),
+    "a0" (A0, factored in place), "product" (the distance product, then
+    the backward product, then the weighted gradient) and "affinity" (R,
+    then dL/dR).
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, n: int) -> np.ndarray:
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape[0] != n:
+            arr = self._arrays[name] = np.empty((n, n))
+        return arr
+
+
+def square(work: Workspace | None, name: str, n: int) -> np.ndarray:
+    """A C-ordered n x n array: ``work``'s array ``name``, or a fresh one."""
+    return np.empty((n, n)) if work is None else work.get(name, n)
+
+
 @dataclass
 class PrecisionSystem:
-    """Assembled precision matrix with its Cholesky factor and log-det."""
+    """Cholesky factor of A0 = I + D - R, with A0's diagonal and log-det.
 
-    a0: np.ndarray
+    ``chol[0]`` holds L in its lower triangle and A0's strict upper
+    triangle (-R), untouched by the factorization, above it.
+    """
+
     chol: tuple
+    diagonal: np.ndarray
     logdet_a0: float
 
     @property
     def n(self) -> int:
-        return self.a0.shape[0]
+        return self.chol[0].shape[0]
+
+    @property
+    def a0(self) -> np.ndarray:
+        """A0, rebuilt from the factor's upper triangle and the diagonal."""
+        factor = self.chol[0]
+        a0 = np.where(np.tri(self.n, k=-1, dtype=bool), factor.T, factor)
+        np.fill_diagonal(a0, self.diagonal)
+        return a0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A0^-1 rhs; ``rhs`` is not checked, the functions below check it."""
         return cho_solve(self.chol, rhs, check_finite=False)
 
 
-def assemble(affinity: np.ndarray) -> PrecisionSystem:
-    """Build and factorize A0 = I + D - R from an affinity matrix R.
+def assemble(affinity: np.ndarray, *, work: Workspace | None = None) -> PrecisionSystem:
+    """Build A0 = I + D - R from an affinity matrix R and factor it in place.
 
     R must be square, finite, nonnegative, symmetric, and zero on the
     diagonal; anything else is rejected, a NaN or infinite entry with
@@ -76,7 +115,8 @@ def assemble(affinity: np.ndarray) -> PrecisionSystem:
     if not np.isfinite(degree).all():
         raise NonFiniteAffinityError("affinity entries and row sums must be finite")
     tol = _SYMMETRY_TOL * max(1.0, float(r.max()))
-    a0 = np.subtract(r, r.T)  # the asymmetry; the buffer becomes A0 below
+    # the asymmetry; the buffer becomes A0 below
+    a0 = np.subtract(r, r.T, out=square(work, "a0", r.shape[0]))
     asymmetry = float(np.abs(a0, out=a0).max())
     if asymmetry > tol:
         raise ValueError("affinity must be symmetric")
@@ -89,13 +129,16 @@ def assemble(affinity: np.ndarray) -> PrecisionSystem:
         degree = r.sum(axis=1)
 
     np.negative(r, out=a0)
-    np.fill_diagonal(a0, 1.0 + degree)
+    degree += 1.0
+    np.fill_diagonal(a0, degree)
     try:
-        factor = cho_factor(a0, lower=True, check_finite=False)
+        # A0 is symmetric, so its transpose is A0 in the F order potrf
+        # factors in place
+        factor = cho_factor(a0.T, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError as err:  # unreachable for valid input
         raise RuntimeError("precision matrix lost positive definiteness") from err
     logdet = 2.0 * float(np.log(np.diagonal(factor[0])).sum())
-    return PrecisionSystem(a0, factor, logdet)
+    return PrecisionSystem(factor, degree, logdet)
 
 
 def _check_scores(system: PrecisionSystem, scores: np.ndarray, name: str) -> np.ndarray:
@@ -128,8 +171,10 @@ def nll(system: PrecisionSystem, scores: np.ndarray, targets: np.ndarray) -> flo
     if y.shape != z.shape:
         raise ValueError(f"targets {y.shape} do not match scores {z.shape}")
     m = z.shape[1]
-    w = system.solve(z)
-    quad = float((y * (system.a0 @ y)).sum() - 2.0 * (z * y).sum() + (z * w).sum())
+    # tr(Y'A0 Y) - 2 tr(Z'Y) + tr(Z'W) = ||L'(Y - W)||^2 with A0 W = Z;
+    # trmm reads only the factor's lower triangle
+    v = dtrmm(1.0, system.chol[0], y - system.solve(z), lower=1, trans_a=1)
+    quad = float((v * v).sum())
     return quad - 0.5 * m * system.logdet_a0 + 0.5 * system.n * m * np.log(np.pi)
 
 
@@ -148,20 +193,24 @@ def unary_nll(scores: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarra
     return quad + 0.5 * n * m * np.log(np.pi), 2.0 * (z - y)
 
 
-def _affinity_grad(x: np.ndarray) -> np.ndarray:
+def _affinity_grad(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     # A0 = I + D - R couples each symmetric affinity pair to two diagonal
     # and two off-diagonal precision entries, so the pair gradient is
     # daff[p, q] = dA0[p, p] + dA0[q, q] - dA0[p, q] - dA0[q, p].  Callers
     # pass any x with x + x' equal to that off the diagonal; the sum of an
     # entry and its mirror is the same float both ways round, so the
     # result is exactly symmetric.
-    daff = np.add(x, x.T)
+    daff = np.add(x, x.T, out=out)
     np.fill_diagonal(daff, 0.0)
     return daff
 
 
 def nll_backward(
-    system: PrecisionSystem, scores: np.ndarray, targets: np.ndarray
+    system: PrecisionSystem,
+    scores: np.ndarray,
+    targets: np.ndarray,
+    *,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the negative log-density w.r.t. scores and affinity.
 
@@ -177,21 +226,28 @@ def nll_backward(
     # dA0 = y y' - w w' - (m/2) A0^-1.  potri turns the existing factor into
     # the lower triangle of A0^-1; with the upper triangle zeroed, the
     # triangle plus its mirror is A0^-1 off the diagonal
-    x, info = dpotri(system.chol[0], lower=1)
+    n = system.n
+    x = square(work, "product", n).T
+    np.copyto(x, system.chol[0])
+    x, info = dpotri(x, lower=1, overwrite_c=1)
     if info != 0:  # unreachable: the factor came from a successful potrf
         raise RuntimeError(f"potri failed with info {info}")
-    for col in range(1, system.n):
+    for col in range(1, n):
         x[:col, col] = 0.0
     diag = (y * y).sum(axis=1) - (w * w).sum(axis=1) - 0.5 * m * np.diagonal(x)
     # x <- m x + [y, w, diag] [-y, w, 1]', so x + x' = -2 dA0 + diag_p + diag_q
     left = np.hstack([y, w, diag[:, None]])
-    right = np.hstack([-y, w, np.ones((system.n, 1))])
+    right = np.hstack([-y, w, np.ones((n, 1))])
     x = dgemm(1.0, left, right, beta=float(m), c=x, trans_b=1, overwrite_c=1)
-    return dscores, _affinity_grad(x)
+    return dscores, _affinity_grad(x, square(work, "affinity", n))
 
 
 def map_backward(
-    system: PrecisionSystem, labelling: np.ndarray, dlabelling: np.ndarray
+    system: PrecisionSystem,
+    labelling: np.ndarray,
+    dlabelling: np.ndarray,
+    *,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Implicit differentiation through the solve A0 Y = Z.
 
@@ -203,7 +259,12 @@ def map_backward(
     g = system.solve(_check_scores(system, dlabelling, "dlabelling"))
     # dA0 is the symmetric part of -g y'; x = [g, diag] [y, 1]' gives
     # x + x' = g y' + y g' + diag_p + diag_q = -2 dA0 + diag_p + diag_q
+    n = system.n
     diag = -(g * y).sum(axis=1)
-    x = np.hstack([g, diag[:, None]]) @ np.hstack([y, np.ones((system.n, 1))]).T
-    return g, _affinity_grad(x)
+    x = np.matmul(
+        np.hstack([g, diag[:, None]]),
+        np.hstack([y, np.ones((n, 1))]).T,
+        out=square(work, "product", n),
+    )
+    return g, _affinity_grad(x, square(work, "affinity", n))
 

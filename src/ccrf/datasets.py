@@ -41,6 +41,8 @@ class LabeledExample:
             raise ValueError(
                 f"targets must be ({self.seg.n}, m), got shape {targets.shape}"
             )
+        if not np.isfinite(targets).all():
+            raise ValueError("targets must be finite")
         if self.seg.shape != (self.image.height, self.image.width):
             raise ValueError("segmentation does not match image size")
         self.targets = targets
@@ -96,9 +98,12 @@ def read_manifest(path) -> tuple[str, list]:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected an image/seg/target triplet")
-            img = read_f32grid(os.path.join(directory, parts[0]))
-            seg_values = read_f32grid(os.path.join(directory, parts[1]))
-            targets = read_f32grid(os.path.join(directory, parts[2]))
+            try:
+                img, seg_values, targets = (
+                    read_f32grid(os.path.join(directory, part)) for part in parts
+                )
+            except OSError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from err
             label_map = np.rint(seg_values).astype(np.int64)
             seg = SuperpixelSegmentation(label_map, int(label_map.max()) + 1)
             if targets.ndim == 1:

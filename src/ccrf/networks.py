@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .crf import Workspace, square
+
 CHECKPOINT_MAGIC = b"CCRF1"
 
 # kernel exponents below this are flushed to exactly zero
@@ -159,39 +161,48 @@ class PairwiseCache:
     mlp_cache: MlpCache
 
 
-def _negated_squared_distances(points: np.ndarray) -> np.ndarray:
+def _negated_squared_distances(points: np.ndarray, work: Workspace | None) -> np.ndarray:
     # x = [P, -|P|^2] [P, 1]' has x + x' = 2 <p, q> - |p|^2 - |q|^2; an
     # entry plus its mirror is the same float both ways round, so the
     # result is exactly symmetric
-    x = np.hstack([points, -(points * points).sum(axis=1)[:, None]]) @ np.hstack(
-        [points, np.ones((len(points), 1))]
-    ).T
-    return np.add(x, x.T)
+    n = len(points)
+    x = np.matmul(
+        np.hstack([points, -(points * points).sum(axis=1)[:, None]]),
+        np.hstack([points, np.ones((n, 1))]).T,
+        out=square(work, "product", n),
+    )
+    return np.add(x, x.T, out=square(work, "kernel", n))
 
 
-def pairwise_forward(pair: PairwiseNet, graph) -> tuple[np.ndarray, PairwiseCache]:
+def pairwise_forward(
+    pair: PairwiseNet, graph, *, work: Workspace | None = None
+) -> tuple[np.ndarray, PairwiseCache]:
     """Affinity matrix R (n, n): symmetric, nonnegative, zero diagonal.
 
     The exponent is one negated squared distance between the stacked
     points [s, sqrt(gamma) l].  A NaN embedding or scale propagates into
     R rather than being flushed, so a broken field cannot pass as a
-    zero one.
+    zero one.  With ``work``, R and the cached kernel live in its arrays.
     """
     embeddings, mlp_cache = mlp_forward(pair.embed, graph.features)
     kernel = _negated_squared_distances(
-        np.hstack([embeddings, np.sqrt(pair.gamma) * graph.centroids])
+        np.hstack([embeddings, np.sqrt(pair.gamma) * graph.centroids]), work
     )
     np.minimum(kernel, 0.0, out=kernel)  # cancellation can leave it above 0
     kernel[kernel < _EXP_FLOOR] = -np.inf  # NaN compares false and stays
     np.exp(kernel, out=kernel)
     np.fill_diagonal(kernel, 0.0)
     beta = pair.beta
-    affinity = beta * kernel
+    affinity = np.multiply(beta, kernel, out=square(work, "affinity", len(kernel)))
     return affinity, PairwiseCache(embeddings, kernel, beta, mlp_cache)
 
 
 def pairwise_backward(
-    pair: PairwiseNet, cache: PairwiseCache, daffinity: np.ndarray
+    pair: PairwiseNet,
+    cache: PairwiseCache,
+    daffinity: np.ndarray,
+    *,
+    work: Workspace | None = None,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
     """Chain an affinity gradient back to (embedding grads, d beta_raw).
 
@@ -201,7 +212,7 @@ def pairwise_backward(
     -2 R[p,q] (s_p - s_q) and d R[p,q] / d beta = kernel[p,q].
     """
     # twice the symmetrized gradient, weighted by the kernel
-    weighted = np.add(daffinity, daffinity.T)
+    weighted = np.add(daffinity, daffinity.T, out=square(work, "product", len(daffinity)))
     np.fill_diagonal(weighted, 0.0)
     weighted *= cache.kernel
     dbeta = 0.25 * float(weighted.sum())
@@ -306,10 +317,18 @@ def load_checkpoint(path) -> Model:
     def collect(prefix: str) -> Mlp:
         weights, biases = [], []
         for i in range(len(tensors)):
-            if f"{prefix}.w{i}" not in tensors:
+            w, b = tensors.get(f"{prefix}.w{i}"), tensors.get(f"{prefix}.b{i}")
+            if w is None and b is None:
                 break
-            weights.append(tensors[f"{prefix}.w{i}"].copy())
-            biases.append(tensors[f"{prefix}.b{i}"].copy())
+            if w is None or b is None:
+                raise ValueError(f"checkpoint layer {prefix} {i} lacks its weight or bias")
+            chained = not weights or weights[-1].shape[1] == w.shape[0]
+            if w.ndim != 2 or b.shape != w.shape[1:] or not chained:
+                raise ValueError(
+                    f"checkpoint layer {prefix} {i} has weight {w.shape} and bias {b.shape}"
+                )
+            weights.append(w.copy())
+            biases.append(b.copy())
         if not weights:
             raise ValueError(f"checkpoint holds no '{prefix}' layers")
         return Mlp(weights, biases)

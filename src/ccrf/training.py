@@ -17,6 +17,7 @@ import numpy as np
 
 from .crf import (
     NonFiniteAffinityError,
+    Workspace,
     assemble,
     map_backward,
     map_infer,
@@ -164,9 +165,16 @@ def prepare_examples(examples) -> list[PreparedExample]:
     return prepared
 
 
-def _infer(model: Model, graph: NodeGraph, targets: np.ndarray, unary_only: bool):
+def _infer(
+    model: Model,
+    graph: NodeGraph,
+    targets: np.ndarray,
+    unary_only: bool,
+    work: Workspace | None,
+):
     """Unary scores, then the precision system, with both stages' caches;
-    ``unary_only`` stops at the scores (A0 = I) and returns None for the rest."""
+    ``unary_only`` stops at the scores (A0 = I) and returns None for the rest.
+    The system and the pairwise cache live in ``work``'s arrays."""
     scores, unary_cache = unary_forward(model.unary, graph)
     if targets.shape != scores.shape:
         raise ValueError(
@@ -174,8 +182,8 @@ def _infer(model: Model, graph: NodeGraph, targets: np.ndarray, unary_only: bool
         )
     if unary_only:
         return scores, None, unary_cache, None
-    affinity, pair_cache = pairwise_forward(model.pairwise, graph)
-    return scores, assemble(affinity), unary_cache, pair_cache
+    affinity, pair_cache = pairwise_forward(model.pairwise, graph, work=work)
+    return scores, assemble(affinity, work=work), unary_cache, pair_cache
 
 
 def forward_loss(
@@ -185,6 +193,7 @@ def forward_loss(
     loss_spec: LossSpec,
     weight_decay: float = 0.0,
     unary_only: bool = False,
+    work: Workspace | None = None,
 ):
     """One objective evaluation with gradients for every parameter.
 
@@ -192,10 +201,11 @@ def forward_loss(
     the field reduces to independent per-node regression and no n x n
     array is built.  Pairwise parameters get exactly zero gradient (no
     weight decay either), and the result is bit-identical to running the
-    full pipeline with beta = 0.
+    full pipeline with beta = 0.  ``work`` lends the n x n arrays; only
+    the loss and gradients, which never alias them, are returned.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    scores, system, unary_cache, pair_cache = _infer(model, graph, targets, unary_only)
+    scores, system, unary_cache, pair_cache = _infer(model, graph, targets, unary_only, work)
     if not np.isfinite(scores).all():
         raise NonFiniteLossError("unary scores are not finite")
 
@@ -208,11 +218,11 @@ def forward_loss(
     else:
         if loss_spec.kind == "loglik":
             loss = nll(system, scores, targets)
-            dscores, daffinity = nll_backward(system, scores, targets)
+            dscores, daffinity = nll_backward(system, scores, targets, work=work)
         else:
             labelling = map_infer(system, scores)
             loss, dlabelling = task_loss(loss_spec, labelling, targets)
-            dscores, daffinity = map_backward(system, labelling, dlabelling)
+            dscores, daffinity = map_backward(system, labelling, dlabelling, work=work)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"objective returned {loss!r}")
 
@@ -223,7 +233,9 @@ def forward_loss(
         grads[f"unary.w{i}"] = dw
         grads[f"unary.b{i}"] = db
     if not unary_only:
-        embed_grads, dbeta_raw = pairwise_backward(model.pairwise, pair_cache, daffinity)
+        embed_grads, dbeta_raw = pairwise_backward(
+            model.pairwise, pair_cache, daffinity, work=work
+        )
         for i, (dw, db) in enumerate(embed_grads):
             grads[f"pair.w{i}"] = dw
             grads[f"pair.b{i}"] = db
@@ -294,13 +306,14 @@ class TrainHistory:
             fh.write(self.to_csv())
 
 
-def _predictions(model: Model, examples, task: str, unary_only: bool = False):
+def _predictions(
+    model: Model, examples, task: str, unary_only: bool, work: Workspace | None
+):
     """Concatenated (pred, true, pixel_count) vectors over all examples."""
     preds, trues, weights = [], [], []
     for ex in examples:
-        scores, system, _, _ = _infer(model, ex.graph, ex.targets, unary_only)
+        scores, system, _, _ = _infer(model, ex.graph, ex.targets, unary_only, work)
         labelling = scores if system is None else map_infer(system, scores)
-        del system  # n x n: free it before the next example builds its own
         if task == "segmentation":
             preds.append(predict_labels(labelling))
             trues.append(np.argmax(ex.targets, axis=1))
@@ -311,26 +324,37 @@ def _predictions(model: Model, examples, task: str, unary_only: bool = False):
     return np.concatenate(preds), np.concatenate(trues), np.concatenate(weights)
 
 
-def evaluate(model: Model, examples, task: str, unary_only: bool = False) -> dict:
-    """Metric suite over prepared examples, pixel-count weighted."""
+def evaluate(
+    model: Model,
+    examples,
+    task: str,
+    unary_only: bool = False,
+    work: Workspace | None = None,
+) -> dict:
+    """Metric suite over prepared examples, pixel-count weighted.
+
+    The examples share ``work``'s n x n arrays, or by default one set the
+    call keeps for itself.
+    """
     if not examples:
         raise ValueError("nothing to evaluate")
     if task == "segmentation" and model.output_dim() < 2:
         raise ValueError("model emits a single score column, not class scores")
     if task == "depth" and model.output_dim() != 1:
         raise ValueError("depth evaluation needs a single-column model")
-    pred, true, w = _predictions(model, examples, task, unary_only)
+    work = Workspace() if work is None else work
+    pred, true, w = _predictions(model, examples, task, unary_only, work)
     if task == "segmentation":
         return seg_metrics(pred, true, w, examples[0].targets.shape[1])
     return depth_metrics(pred, true, w)
 
 
-def _validation_metric(model, examples, task) -> tuple[str, float]:
+def _validation_metric(model, examples, task, work) -> tuple[str, float]:
     if task == "segmentation":
-        return "pixel_acc", evaluate(model, examples, task)["pixel_acc"]
+        return "pixel_acc", evaluate(model, examples, task, work=work)["pixel_acc"]
     # rms alone ranks depth checkpoints: unlike the ratio metrics it stays
     # defined when noise-corrupted val targets dip nonpositive
-    pred, true, w = _predictions(model, examples, task)
+    pred, true, w = _predictions(model, examples, task, False, work)
     return "rms", float(np.sqrt((w * (true - pred) ** 2).sum() / w.sum()))
 
 
@@ -378,6 +402,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainHistory]:
     track_best = config.keep == "best"
     best_metric = None
     best_params = {name: value.copy() for name, value in params.items()}
+    # every step and validation pass shares one set of n x n arrays
+    work = Workspace()
 
     for epoch in range(config.epochs):
         warm = epoch < config.unary_warmup_epochs
@@ -394,6 +420,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainHistory]:
                     config.loss,
                     weight_decay=config.weight_decay,
                     unary_only=warm,
+                    work=work,
                 )
             except (NonFiniteLossError, NonFiniteAffinityError) as err:
                 raise DivergenceError(epoch, int(j), str(err)) from err
@@ -404,7 +431,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainHistory]:
             loss_sum += loss
             norm_sum += norm
             sgd_step(params, grads, velocity, config, norm)
-        _, metric = _validation_metric(model, val_ex, task)
+        _, metric = _validation_metric(model, val_ex, task, work)
         history.records.append(
             EpochRecord(
                 epoch,

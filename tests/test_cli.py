@@ -199,6 +199,18 @@ class TestTrain:
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_nonfinite_target_is_a_data_error(self, tmp_path, capsys, split):
+        cfg = depth_config(tmp_path, loss="loglik")
+        data = synth_into(tmp_path, cfg)
+        tgt_path = os.path.join(data, f"{split}_0000_tgt.f32grid")
+        targets = read_f32grid(tgt_path)
+        targets[0] = np.nan
+        write_f32grid(tgt_path, targets)
+        code = cli.main(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "runs")])
+        assert code == 2
+        assert "targets must be finite" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path):
         cfg = depth_config(
             tmp_path, loss="ls", lr="1e6", clip_norm="none",
@@ -274,6 +286,15 @@ class TestEval:
         code = cli.main(["eval", "--ckpt", str(ckpt), "--data", data, "--out", str(tmp_path / "out")])
         assert code == 2
         assert name in capsys.readouterr().err
+
+    def test_unpaired_checkpoint_layer_is_a_data_error(self, tmp_path, capsys):
+        data = synth_into(tmp_path, seg_config(tmp_path))
+        ckpt = tmp_path / "unpaired.ccrf"
+        save_checkpoint(ckpt, build_model(np.random.default_rng(0), 10, 3))
+        ckpt.write_bytes(ckpt.read_bytes().replace(b"unary.b0", b"unary.c0"))
+        code = cli.main(["eval", "--ckpt", str(ckpt), "--data", data, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "lacks its weight or bias" in capsys.readouterr().err
 
     def test_node_index_beyond_pixel_count_is_a_data_error(self, tmp_path, capsys):
         data, ckpt = self.trained_run(tmp_path, seg_config(tmp_path))

@@ -9,7 +9,7 @@ from ccrf import (
     nll,
     nll_backward,
 )
-from ccrf.crf import NonFiniteAffinityError, unary_nll
+from ccrf.crf import NonFiniteAffinityError, Workspace, unary_nll
 
 from helpers import (
     central_diff,
@@ -79,6 +79,18 @@ class TestAssemble:
         expected = -r
         expected[np.diag_indices(40)] = 1.0 + r.sum(axis=1)
         assert np.array_equal(assemble(r).a0, expected)
+
+    def test_factor_overwrites_a0_in_place(self):
+        # the factor takes A0's own buffer, and A0 rebuilt from it is the
+        # textbook one bit for bit, also after a solve
+        r = random_affinity(np.random.default_rng(17), 40)
+        expected = -r
+        expected[np.diag_indices(40)] = 1.0 + r.sum(axis=1)
+        work = Workspace()
+        system = assemble(r, work=work)
+        assert np.shares_memory(system.chol[0], work.get("a0", 40))
+        map_infer(system, np.ones((40, 2)))
+        assert system.a0.tobytes() == expected.tobytes()
 
     def test_rounding_asymmetry_is_cleaned(self):
         rng = np.random.default_rng(16)

@@ -20,7 +20,7 @@ from ccrf import (
     unary_forward,
 )
 from ccrf.graph import NodeGraph
-from ccrf.networks import sigmoid
+from ccrf.networks import _write_tensor, sigmoid
 
 from helpers import central_diff, grad_rel_err
 
@@ -358,6 +358,24 @@ class TestCheckpoint:
         header = struct.pack("<I", 6) + b"unary0" + struct.pack("<4I", 3, *[2**32 - 1] * 3)
         path.write_bytes(b"CCRF1" + header + b"\x00" * 64)
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("unary.w0", (3,)), ("unary.b0", (5,)), ("unary.w1", (4, 2)), ("unary.b1", (2, 2))],
+    )
+    def test_rejects_misshapen_layer(self, tmp_path, name, shape):
+        # hidden width 64: a layer must be 2-D, its bias must match its
+        # outputs, and each layer must take the previous layer's outputs
+        model = build_model(np.random.default_rng(5), feature_dim=3, output_dim=2)
+        params = model.parameters()
+        path = tmp_path / "model.ccrf"
+        save_checkpoint(path, model)
+        with open(path, "ab") as fh:
+            # a later tensor of the same name replaces the saved one
+            _write_tensor(fh, name, np.zeros(shape))
+        assert params[name].shape != shape
+        with pytest.raises(ValueError, match="checkpoint layer"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("gamma", [np.nan, -0.5, np.inf])

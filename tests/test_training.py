@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,10 @@ from ccrf import (
     train,
     training,
 )
+from ccrf.crf import Workspace
 from ccrf.training import (
     EpochRecord,
+    PreparedExample,
     config_from_mapping,
     global_grad_norm,
     parse_config,
@@ -350,6 +354,72 @@ class TestEvaluate:
         model, _ = train(ds, tiny_config(epochs=1, unary_warmup_epochs=0))
         with pytest.raises(ValueError):
             evaluate(model, [], "segmentation")
+
+
+class TestWorkspace:
+    """Reused n x n arrays change no result; they only save allocations."""
+
+    SPECS = (LossSpec("softmax"), LossSpec("loglik"), LossSpec("tukey", 0.5), LossSpec("ls"))
+
+    def problem(self, spec, n):
+        rng = np.random.default_rng([n, len(spec.kind)])
+        m = 3 if spec.kind == "softmax" else 1
+        model = build_model(rng, 4, m, hidden_dims=(5,), embed_hidden_dims=(5,), embed_dim=3)
+        targets = one_hot_targets(rng, n, m) if m > 1 else rng.uniform(0, 1, (n, 1))
+        return model, random_graph(rng, n), targets
+
+    def test_forward_loss_is_bit_identical(self):
+        work = Workspace()
+        for spec in self.SPECS:
+            for n in (5, 9, 5):
+                model, graph, targets = self.problem(spec, n)
+                loss, grads = forward_loss(model, graph, targets, spec, weight_decay=0.01)
+                loss_w, grads_w = forward_loss(
+                    model, graph, targets, spec, weight_decay=0.01, work=work
+                )
+                assert loss_w == loss, (spec.kind, n)
+                for name in grads:
+                    assert grads_w[name].tobytes() == grads[name].tobytes(), (spec.kind, n, name)
+
+    @pytest.mark.parametrize("task", ["segmentation", "depth"])
+    def test_evaluate_matches_fresh_arrays(self, task):
+        rng = np.random.default_rng(7)
+        m = 3 if task == "segmentation" else 1
+        model = build_model(rng, 4, m, hidden_dims=(5,), embed_hidden_dims=(5,), embed_dim=3)
+        examples = [
+            PreparedExample(
+                random_graph(rng, n),
+                one_hot_targets(rng, n, m) if m > 1 else rng.uniform(0.5, 1.5, (n, 1)),
+                rng.integers(1, 5, n).astype(np.float64),
+            )
+            for n in (5, 9, 5)
+        ]
+        fresh = training._predictions(model, examples, task, False, None)
+        reused = training._predictions(model, examples, task, False, Workspace())
+        for a, b in zip(fresh, reused):
+            assert a.tobytes() == b.tobytes()
+        primed = Workspace()
+        primed.get("a0", 7)
+        with_work = evaluate(model, examples, task, work=primed)
+        without = evaluate(model, examples, task)
+        assert set(with_work) == set(without)
+        for key in without:
+            assert np.array_equal(with_work[key], without[key]), key
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    def test_second_same_n_step_allocates_no_square_array(self, spec):
+        n = 200
+        model, graph, targets = self.problem(spec, n)
+        work = Workspace()
+        forward_loss(model, graph, targets, spec, work=work)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            forward_loss(model, graph, targets, spec, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 8 * n * n
 
 
 class TestTrain:
