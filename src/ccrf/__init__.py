@@ -25,7 +25,6 @@ from .graph import (
     compute_centroids,
     compute_pixel_features,
     grid_segment,
-    node_pixel_counts,
     pool_features,
     slic_segment,
 )
@@ -62,8 +61,6 @@ from .scenes import (
     corrupt_dataset,
     gen_depth_scene,
     gen_segmentation_scene,
-    inject_gaussian_noise,
-    inject_outliers,
     synth_dataset,
 )
 from .training import (

@@ -227,10 +227,12 @@ def _corruption_cells(config):
     sigma = float(config.get("noise_sigma", CorruptionSpec.sigma))
     magnitude = float(config.get("outlier_magnitude", CorruptionSpec.magnitude))
     seed = int(config.get("seed", SyntheticSceneSpec.seed))
+    # every spec is checked before the clean cell trains
+    specs = [CorruptionSpec(kind, fraction, sigma=sigma, magnitude=magnitude)
+             for _, kind, fraction, _ in _CORRUPTION_SWEEP]
     clean = _synth_dataset(config)
     yield "0%", clean, {"delta_vs_noise": 0.0, "delta_vs_outliers": 0.0}
-    for label, kind, fraction, stem in _CORRUPTION_SWEEP:
-        corruption = CorruptionSpec(kind, fraction, sigma=sigma, magnitude=magnitude)
+    for (label, _, fraction, stem), corruption in zip(_CORRUPTION_SWEEP, specs):
         yield label, corrupt_dataset(clean, corruption, seed), {stem: 100 * fraction}
 
 
@@ -330,7 +332,7 @@ def main(argv=None) -> int:
     except DivergenceError as err:
         print(f"diverged: {err}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

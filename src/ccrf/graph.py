@@ -57,6 +57,7 @@ class SuperpixelSegmentation:
 
     label_map: np.ndarray
     n: int
+    counts: np.ndarray = field(init=False, repr=False)  # pixels per node
 
     def __post_init__(self):
         label_map = np.asarray(self.label_map)
@@ -73,6 +74,7 @@ class SuperpixelSegmentation:
         if (counts == 0).any():
             raise ValueError("every node index must own at least one pixel")
         self.label_map = label_map.astype(np.int64)
+        self.counts = counts
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -163,8 +165,8 @@ def slic_segment(
     seed_pixels = np.minimum(center_pos.astype(int), [height - 1, width - 1])
     center_col = values[seed_pixels[:, 0], seed_pixels[:, 1]]
 
-    row_coord = np.arange(height, dtype=np.float64)
-    col_coord = np.arange(width, dtype=np.float64)
+    # (row, col, color...) per pixel: one reduction updates both halves of a centre
+    pixels = np.concatenate([_pixel_grid(height, width), values], axis=2)
     labels = np.zeros((height, width), dtype=np.int64)
 
     for _ in range(max_iters):
@@ -179,7 +181,7 @@ def slic_segment(
             if r0 >= r1 or c0 >= c1:
                 continue
             color_d2 = ((values[r0:r1, c0:c1] - center_col[ci]) ** 2).sum(axis=2)
-            pos_d2 = (row_coord[r0:r1, None] - cr) ** 2 + (col_coord[None, c0:c1] - cc) ** 2
+            pos_d2 = ((pixels[r0:r1, c0:c1, :2] - (cr, cc)) ** 2).sum(axis=2)
             d = color_d2 + spatial_weight**2 * pos_d2
             window = dist[r0:r1, c0:c1]
             better = d < window  # strict: earlier (lower) index keeps ties
@@ -190,21 +192,14 @@ def slic_segment(
         if missed.any():
             mr, mc = np.nonzero(missed)
             color_d2 = ((values[mr, mc][:, None, :] - center_col[None, :, :]) ** 2).sum(axis=2)
-            pos_d2 = (mr[:, None] - center_pos[None, :, 0]) ** 2 + (
-                mc[:, None] - center_pos[None, :, 1]
-            ) ** 2
+            pos_d2 = ((pixels[mr, mc][:, None, :2] - center_pos[None, :, :]) ** 2).sum(axis=2)
             labels[mr, mc] = np.argmin(color_d2 + spatial_weight**2 * pos_d2, axis=1)
 
-        flat = labels.ravel()
-        counts = np.bincount(flat, minlength=k).astype(np.float64)
+        counts = np.bincount(labels.ravel(), minlength=k)
         occupied = counts > 0
-        sum_r = np.bincount(flat, weights=np.repeat(row_coord, width), minlength=k)
-        sum_c = np.bincount(flat, weights=np.tile(col_coord, height), minlength=k)
-        center_pos[occupied, 0] = sum_r[occupied] / counts[occupied]
-        center_pos[occupied, 1] = sum_c[occupied] / counts[occupied]
-        for ch in range(values.shape[2]):
-            sum_col = np.bincount(flat, weights=values[:, :, ch].ravel(), minlength=k)
-            center_col[occupied, ch] = sum_col[occupied] / counts[occupied]
+        means = _node_sums(labels, pixels, k)[occupied] / counts[occupied, None]
+        center_pos[occupied] = means[:, :2]
+        center_col[occupied] = means[:, 2:]
 
     labels = _merge_orphan_components(labels)
     uniq, compact = np.unique(labels, return_inverse=True)
@@ -212,16 +207,8 @@ def slic_segment(
 
 
 def _adjacent_labels(labels: np.ndarray, mask: np.ndarray) -> set[int]:
-    found: set[int] = set()
-    for axis, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
-        shifted = np.roll(mask, shift, axis=axis)
-        if axis == 0:
-            shifted[0 if shift == 1 else -1, :] = False
-        else:
-            shifted[:, 0 if shift == 1 else -1] = False
-        border = shifted & ~mask
-        found.update(int(v) for v in np.unique(labels[border]))
-    return found
+    border = ndimage.binary_dilation(mask, structure=_FOUR_CONNECTED) & ~mask
+    return {int(v) for v in np.unique(labels[border])}
 
 
 def _merge_orphan_components(labels: np.ndarray) -> np.ndarray:
@@ -263,25 +250,34 @@ def compute_pixel_features(image: ImageGrid) -> np.ndarray:
     values = image.values
     height, width, _ = values.shape
     smoothed = ndimage.uniform_filter(values, size=(3, 3, 1), mode="nearest")
-    mean_intensity = values.mean(axis=2)
-    grad_row, grad_col = np.gradient(mean_intensity)
-    row_pos = np.broadcast_to(
-        (np.arange(height) / (height - 1))[:, None, None], (height, width, 1)
-    )
-    col_pos = np.broadcast_to(
-        (np.arange(width) / (width - 1))[None, :, None], (height, width, 1)
-    )
+    grad_row, grad_col = np.gradient(values.mean(axis=2))
     return np.concatenate(
         [
             values,
             smoothed,
             np.abs(grad_col)[:, :, None],
             np.abs(grad_row)[:, :, None],
-            row_pos,
-            col_pos,
+            _pixel_grid(height, width) / [height - 1, width - 1],
         ],
         axis=2,
     )
+
+
+def _pixel_grid(height: int, width: int) -> np.ndarray:
+    """(H, W, 2) float (row, col) coordinates of every pixel."""
+    rows, cols = np.indices((height, width), dtype=np.float64)
+    return np.stack([rows, cols], axis=2)
+
+
+def _node_sums(labels: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum (H, W) or (H, W, k) pixel values over node labels, shape (n, k).
+
+    One bincount per column adds the pixels in raster order, as ``np.add.at``
+    would, so the sums match a scatter bit for bit.
+    """
+    labels = labels.ravel()
+    columns = values.reshape(labels.size, -1).T
+    return np.stack([np.bincount(labels, weights=c, minlength=n) for c in columns], axis=1)
 
 
 def pool_features(pixel_features: np.ndarray, seg: SuperpixelSegmentation) -> np.ndarray:
@@ -291,29 +287,13 @@ def pool_features(pixel_features: np.ndarray, seg: SuperpixelSegmentation) -> np
         raise ValueError(
             f"feature map {pixel_features.shape} does not cover segmentation {seg.shape}"
         )
-    flat = pixel_features.reshape(-1, pixel_features.shape[2])
-    labels = seg.label_map.ravel()
-    counts = np.bincount(labels, minlength=seg.n).astype(np.float64)
-    sums = np.zeros((seg.n, flat.shape[1]))
-    np.add.at(sums, labels, flat)
-    return sums / counts[:, None]
+    return _node_sums(seg.label_map, pixel_features, seg.n) / seg.counts[:, None]
 
 
 def compute_centroids(seg: SuperpixelSegmentation) -> np.ndarray:
     """Mean (row, col) per node, normalized by (height-1, width-1)."""
     height, width = seg.shape
-    labels = seg.label_map.ravel()
-    counts = np.bincount(labels, minlength=seg.n).astype(np.float64)
-    rows = np.repeat(np.arange(height, dtype=np.float64), width)
-    cols = np.tile(np.arange(width, dtype=np.float64), height)
-    mean_row = np.bincount(labels, weights=rows, minlength=seg.n) / counts
-    mean_col = np.bincount(labels, weights=cols, minlength=seg.n) / counts
-    return np.stack([mean_row / (height - 1), mean_col / (width - 1)], axis=1)
-
-
-def node_pixel_counts(seg: SuperpixelSegmentation) -> np.ndarray:
-    """Number of pixels owned by each node."""
-    return np.bincount(seg.label_map.ravel(), minlength=seg.n)
+    return pool_features(_pixel_grid(height, width), seg) / [height - 1, width - 1]
 
 
 def build_graph(image: ImageGrid, seg: SuperpixelSegmentation) -> NodeGraph:

@@ -30,8 +30,8 @@ def seg_metrics(pred_labels, true_labels, pixel_counts, num_classes: int) -> dic
     if weights.min() <= 0:
         raise ValueError("pixel counts must be positive")
 
-    confusion = np.zeros((num_classes, num_classes))
-    np.add.at(confusion, (true, pred), weights)
+    cells = (true * num_classes + pred).ravel()
+    confusion = np.bincount(cells, weights.ravel(), num_classes**2).reshape(num_classes, -1)
     total = confusion.sum()
     true_per_class = confusion.sum(axis=1)
     pred_per_class = confusion.sum(axis=0)
@@ -50,10 +50,10 @@ def seg_metrics(pred_labels, true_labels, pixel_counts, num_classes: int) -> dic
     }
 
 
-def depth_metrics(predicted, truth, pixel_counts, shift_eps: float = 0.01) -> dict:
+def depth_metrics(predicted, truth, pixel_counts) -> dict:
     """Relative error, log10 error, rms, and threshold fractions.
 
-    If the truth is not strictly positive, ``shift_eps`` is added to both
+    If the truth is not strictly positive, 0.01 is added to both
     sides before the ratio and log metrics (rms is computed on the same
     shifted values, which leaves it unchanged).  Predictions are floored
     at a tiny positive value inside the log and ratio terms only.
@@ -71,8 +71,8 @@ def depth_metrics(predicted, truth, pixel_counts, shift_eps: float = 0.01) -> di
         raise ValueError("values must be finite")
 
     if true.min() <= 0.0:
-        pred = pred + shift_eps
-        true = true + shift_eps
+        pred = pred + 0.01
+        true = true + 0.01
     if true.min() <= 0.0:
         raise ValueError("truth remains nonpositive after shifting")
 

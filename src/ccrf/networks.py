@@ -255,13 +255,13 @@ def build_model(
     embed_hidden_dims=(64,),
     embed_dim: int = 128,
     gamma: float = 0.1,
-    beta_init: float = 1.0,
     tukey_c: float = 1.0,
 ) -> Model:
-    """Fresh model; the unary net is drawn first, then the embedding net."""
+    """Fresh model with beta = 1; the unary net is drawn first, then the
+    embedding net."""
     unary = UnaryNet(Mlp.create(rng, [feature_dim, *hidden_dims, output_dim]))
     embed = Mlp.create(rng, [feature_dim, *embed_hidden_dims, embed_dim])
-    beta_raw = np.array(softplus_inverse(beta_init), dtype=np.float64)
+    beta_raw = np.array(softplus_inverse(1.0), dtype=np.float64)
     return Model(unary, PairwiseNet(embed, beta_raw, float(gamma)), float(tukey_c))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datasets import Dataset, LabeledExample
-from .graph import ImageGrid, grid_segment, node_pixel_counts
+from .graph import ImageGrid, grid_segment, pool_features
 
 _CORRUPTION_KINDS = ("gaussian_noise", "outlier")
 
@@ -61,6 +61,11 @@ class CorruptionSpec:
             raise ValueError(f"unknown corruption {self.kind!r}")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"fraction must lie in [0, 1], got {self.fraction}")
+        # NaN fails every comparison, so both constants are checked finite first
+        if not (np.isfinite(self.sigma) and np.isfinite(self.magnitude)):
+            raise ValueError(
+                f"sigma and magnitude must be finite, got {self.sigma} and {self.magnitude}"
+            )
         if self.sigma <= 0 and self.kind == "gaussian_noise":
             raise ValueError("sigma must be positive")
         if self.magnitude <= 0 and self.kind == "outlier":
@@ -76,21 +81,24 @@ def class_palette(num_classes: int) -> np.ndarray:
     return np.array(colors)
 
 
+def _shape_mask(size, kind, cy, cx, ry, rx):
+    """A rectangle (kind 0) or an ellipse with half-axes (ry, rx) about (cy, cx)."""
+    rows = np.arange(size)[:, None]
+    cols = np.arange(size)[None, :]
+    if kind == 0:
+        return (np.abs(rows - cy) <= ry) & (np.abs(cols - cx) <= rx)
+    return ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
+
+
 def _draw_shapes(rng, size, shape_count, class_range):
     """Paint random rectangles and ellipses; returns the dense class map."""
     labels = np.zeros((size, size), dtype=np.int64)
-    rows = np.arange(size)[:, None]
-    cols = np.arange(size)[None, :]
     for _ in range(shape_count):
         cls = int(rng.integers(1, class_range)) if class_range > 1 else 0
         kind = rng.integers(0, 2)
         cy, cx = rng.uniform(0, size, size=2)
         ry, rx = rng.uniform(size / 8, size / 3, size=2)
-        if kind == 0:
-            mask = (np.abs(rows - cy) <= ry) & (np.abs(cols - cx) <= rx)
-        else:
-            mask = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
-        labels[mask] = cls
+        labels[_shape_mask(size, kind, cy, cx, ry, rx)] = cls
     return labels
 
 
@@ -113,8 +121,8 @@ def gen_segmentation_scene(spec: SyntheticSceneSpec) -> LabeledExample:
         image = ImageGrid(np.clip(image, 0.0, 1.0))
         seg = grid_segment(image, spec.target_nodes)
 
-        votes = np.zeros((seg.n, spec.classes), dtype=np.int64)
-        np.add.at(votes, (seg.label_map.ravel(), labels_px.ravel()), 1)
+        pairs = seg.label_map.ravel() * spec.classes + labels_px.ravel()
+        votes = np.bincount(pairs, minlength=seg.n * spec.classes).reshape(seg.n, spec.classes)
         node_class = np.argmax(votes, axis=1)  # ties resolve to the lowest class
         if spec.shape_count == 0 or len(np.unique(node_class)) >= 2:
             targets = np.zeros((seg.n, spec.classes))
@@ -123,10 +131,10 @@ def gen_segmentation_scene(spec: SyntheticSceneSpec) -> LabeledExample:
     raise RuntimeError(f"could not draw two classes for seed {spec.seed}")
 
 
-def normalize_depth_map(depth: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Min-max normalize to [0, 1]; a degenerate range collapses to 0.5."""
+def normalize_depth_map(depth: np.ndarray) -> np.ndarray:
+    """Min-max normalize to [0, 1]; a range below 1e-9 collapses to 0.5."""
     span = float(depth.max() - depth.min())
-    if span < tol:
+    if span < 1e-9:
         return np.full_like(depth, 0.5)
     return (depth - depth.min()) / span
 
@@ -167,8 +175,6 @@ def gen_depth_scene(spec: SyntheticSceneSpec) -> LabeledExample:
     slope = rng.uniform(-1.0, 1.0, size=2)
     depth = 0.5 + 0.5 * (slope[0] * (u - 0.5) + slope[1] * (v - 0.5))
     albedo = np.full((size, size), rng.uniform(0.3, 1.0))
-    rows = np.arange(size)[:, None]
-    cols = np.arange(size)[None, :]
     shapes = []
     for _ in range(spec.shape_count):
         level = rng.uniform(0.0, 1.0)
@@ -179,10 +185,7 @@ def gen_depth_scene(spec: SyntheticSceneSpec) -> LabeledExample:
         shapes.append((level, tilt, kind, cy, cx, ry, rx, rng.uniform(0.3, 1.0)))
     # painter's order: farthest (largest depth) first, so nearer occludes
     for level, tilt, kind, cy, cx, ry, rx, alb in sorted(shapes, reverse=True, key=lambda s: s[0]):
-        if kind == 0:
-            mask = (np.abs(rows - cy) <= ry) & (np.abs(cols - cx) <= rx)
-        else:
-            mask = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
+        mask = _shape_mask(size, kind, cy, cx, ry, rx)
         plane = level + tilt[0] * (u - cy / (size - 1)) + tilt[1] * (v - cx / (size - 1))
         depth = np.where(mask, plane, depth)
         albedo = np.where(mask, alb, albedo)
@@ -194,10 +197,7 @@ def gen_depth_scene(spec: SyntheticSceneSpec) -> LabeledExample:
         shading = shading + rng.normal(0.0, spec.noise_level, size=shading.shape)
     image = ImageGrid(np.clip(shading, 0.0, 1.0))
     seg = grid_segment(image, spec.target_nodes)
-    counts = node_pixel_counts(seg).astype(np.float64)
-    node_depth = np.bincount(seg.label_map.ravel(), weights=depth.ravel(), minlength=seg.n)
-    targets = (node_depth / counts)[:, None]
-    return LabeledExample(image, seg, targets, "depth")
+    return LabeledExample(image, seg, pool_features(depth[:, :, None], seg), "depth")
 
 
 def gen_scene(spec: SyntheticSceneSpec) -> LabeledExample:
@@ -234,37 +234,18 @@ def corrupted_node_count(n: int, fraction: float) -> int:
     return int(np.floor(fraction * n + 0.5))
 
 
-def _pick_nodes(rng, n: int, fraction: float) -> np.ndarray:
-    count = corrupted_node_count(n, fraction)
-    return rng.choice(n, size=count, replace=False)
-
-
-def inject_gaussian_noise(targets, fraction: float, sigma: float, rng) -> np.ndarray:
-    """Add N(0, sigma^2) draws to a sampled fraction of nodes (no re-clip)."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-    out = np.array(targets, dtype=np.float64, copy=True)
-    picked = _pick_nodes(rng, out.shape[0], fraction)
-    if picked.size:
-        out[picked] += rng.normal(0.0, sigma, size=picked.size).reshape(-1, *([1] * (out.ndim - 1)))
-    return out
-
-
-def inject_outliers(targets, fraction: float, magnitude: float, rng) -> np.ndarray:
-    """Add a constant large offset to a sampled fraction of nodes."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-    out = np.array(targets, dtype=np.float64, copy=True)
-    picked = _pick_nodes(rng, out.shape[0], fraction)
-    if picked.size:
-        out[picked] += magnitude
-    return out
-
-
 def apply_corruption(targets, spec: CorruptionSpec, rng) -> np.ndarray:
-    if spec.kind == "gaussian_noise":
-        return inject_gaussian_noise(targets, spec.fraction, spec.sigma, rng)
-    return inject_outliers(targets, spec.fraction, spec.magnitude, rng)
+    """A copy of ``targets`` with a sampled fraction of nodes shifted: by
+    N(0, sigma^2) draws for gaussian_noise, by ``magnitude`` for outlier.
+    Nothing is re-clipped."""
+    out = np.array(targets, dtype=np.float64, copy=True)
+    n = out.shape[0]
+    picked = rng.choice(n, size=corrupted_node_count(n, spec.fraction), replace=False)
+    if spec.kind == "outlier":
+        out[picked] += spec.magnitude
+    elif picked.size:
+        out[picked] += rng.normal(0.0, spec.sigma, size=picked.size).reshape(-1, *([1] * (out.ndim - 1)))
+    return out
 
 
 def corrupt_dataset(dataset: Dataset, spec: CorruptionSpec, seed: int) -> Dataset:

@@ -26,7 +26,7 @@ from .crf import (
     unary_nll,
 )
 from .datasets import Dataset
-from .graph import NodeGraph, build_graph, node_pixel_counts
+from .graph import NodeGraph, build_graph
 from .losses import LossSpec, predict_labels, task_loss
 from .metrics import depth_metrics, seg_metrics
 from .networks import (
@@ -160,7 +160,7 @@ def prepare_examples(examples) -> list[PreparedExample]:
     for ex in examples:
         graph = build_graph(ex.image, ex.seg)
         prepared.append(
-            PreparedExample(graph, np.asarray(ex.targets, dtype=np.float64), node_pixel_counts(ex.seg))
+            PreparedExample(graph, np.asarray(ex.targets, dtype=np.float64), ex.seg.counts)
         )
     return prepared
 
@@ -431,6 +431,10 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainHistory]:
             loss_sum += loss
             norm_sum += norm
             sgd_step(params, grads, velocity, config, norm)
+        # a finite gradient can still overflow a parameter; one check per
+        # epoch names the last update before validation trips over it
+        if not all(np.isfinite(value).all() for value in params.values()):
+            raise DivergenceError(epoch, int(j), "parameters are not finite after the update")
         _, metric = _validation_metric(model, val_ex, task, work)
         history.records.append(
             EpochRecord(

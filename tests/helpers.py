@@ -99,3 +99,35 @@ def _reference_affinity_grad(da0):
     daff = diag[:, None] + diag[None, :] - da0 - da0.T
     np.fill_diagonal(daff, 0.0)
     return daff
+
+
+def reference_pool_features(pixel_features, seg):
+    """Per-node means by an ``np.add.at`` scatter: the oracle for
+    ``pool_features`` and for the depth targets."""
+    flat = pixel_features.reshape(-1, pixel_features.shape[2])
+    labels = seg.label_map.ravel()
+    counts = np.bincount(labels, minlength=seg.n).astype(np.float64)
+    sums = np.zeros((seg.n, flat.shape[1]))
+    np.add.at(sums, labels, flat)
+    return sums / counts[:, None]
+
+
+def reference_centroids(seg):
+    """Mean (row, col) per node from one bincount per coordinate: the
+    oracle for ``compute_centroids``."""
+    height, width = seg.shape
+    labels = seg.label_map.ravel()
+    counts = np.bincount(labels, minlength=seg.n).astype(np.float64)
+    rows = np.repeat(np.arange(height, dtype=np.float64), width)
+    cols = np.tile(np.arange(width, dtype=np.float64), height)
+    mean_row = np.bincount(labels, weights=rows, minlength=seg.n) / counts
+    mean_col = np.bincount(labels, weights=cols, minlength=seg.n) / counts
+    return np.stack([mean_row / (height - 1), mean_col / (width - 1)], axis=1)
+
+
+def reference_class_votes(seg, class_map, classes):
+    """(n, classes) pixel votes by an ``np.add.at`` scatter: the oracle for
+    the segmentation scene's node classes."""
+    votes = np.zeros((seg.n, classes), dtype=np.int64)
+    np.add.at(votes, (seg.label_map.ravel(), class_map.ravel()), 1)
+    return votes

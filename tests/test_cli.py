@@ -116,6 +116,15 @@ class TestSynth:
             with open(os.path.join(run_dir, name), "rb") as got:
                 assert got.read() == (expected / name).read_bytes(), name
 
+    def test_memory_error_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+        monkeypatch.setattr(cli, "synth_dataset", no_memory)
+        code = cli.main(["synth", "--config", seg_config(tmp_path), "--out", str(tmp_path / "data")])
+        assert code == 2
+        assert "error: Unable to allocate 29.1 TiB" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(
             ["synth", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)]
@@ -221,6 +230,30 @@ class TestTrain:
         with np.errstate(all="ignore"):
             code = cli.main(["train", "--config", cfg, "--data", data, "--out", out])
         assert code == 3
+
+    @pytest.mark.parametrize("make_config", [seg_config, depth_config])
+    def test_parameter_overflow_is_a_divergence(self, tmp_path, capsys, make_config):
+        # a finite gradient times lr = 1e308 overflows the weights to inf
+        cfg = make_config(
+            tmp_path, count=3, train_frac="0.34", val_frac="0.33",
+            lr="1e308", momentum=0, clip_norm="none",
+        )
+        data = synth_into(tmp_path, cfg)
+        with np.errstate(all="ignore"):
+            code = cli.main(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "runs")])
+        assert code == 3
+        assert "epoch 0, example 0" in capsys.readouterr().err
+
+    def test_memory_error_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        cfg = seg_config(tmp_path)
+        data = synth_into(tmp_path, cfg)
+        monkeypatch.setattr(cli, "train", no_memory)
+        code = cli.main(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "runs")])
+        assert code == 2
+        assert "error: Unable to allocate 7.28 TiB" in capsys.readouterr().err
 
 
 class TestEval:
@@ -348,3 +381,15 @@ class TestAblate:
         for stem in ("delta_vs_noise", "delta_vs_outliers"):
             svg = open(os.path.join(run_dir, f"{stem}.svg")).read()
             assert svg.startswith("<svg") and "loglik" in svg and "tukey" in svg
+
+    @pytest.mark.parametrize(
+        "bad", [{"noise_sigma": "-1"}, {"noise_sigma": "nan"}, {"outlier_magnitude": "nan"}]
+    )
+    def test_bad_corruption_fails_before_any_training(self, tmp_path, capsys, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *args: calls.append(args))
+        cfg = depth_config(tmp_path, epochs=1, warmup_epochs=0, **bad)
+        assert cli.main(["ablate", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "sigma" in err or "magnitude" in err

@@ -8,12 +8,11 @@ from ccrf import (
     compute_centroids,
     compute_pixel_features,
     grid_segment,
-    node_pixel_counts,
     pool_features,
     slic_segment,
 )
 
-from helpers import connectivity_violations
+from helpers import connectivity_violations, reference_centroids, reference_pool_features
 
 
 def constant_image(height=16, width=16, value=0.5, channels=1):
@@ -78,7 +77,7 @@ class TestGridSegment:
 
     def test_every_pixel_assigned_once(self):
         seg = grid_segment(constant_image(33, 47), 12)
-        assert node_pixel_counts(seg).sum() == 33 * 47
+        assert seg.counts.sum() == 33 * 47
 
     def test_blocks_are_connected(self):
         seg = grid_segment(constant_image(30, 40), 11)
@@ -118,7 +117,7 @@ class TestSlicSegment:
         img = ImageGrid(rng.uniform(0, 1, (48, 48, 3)))
         seg = slic_segment(img, 25, compactness=5.0)
         assert connectivity_violations(seg) == []
-        assert node_pixel_counts(seg).min() >= 1
+        assert seg.counts.min() >= 1
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
@@ -232,3 +231,23 @@ class TestCentroids:
         assert graph.n == 9
         assert graph.features.shape == (9, 10)
         assert graph.centroids.shape == (9, 2)
+
+
+class TestReductionOracles:
+    """Pooling and centroids equal the scatter oracles bit for bit."""
+
+    @pytest.mark.parametrize("segment", [grid_segment, slic_segment])
+    @pytest.mark.parametrize("shape", [(33, 47, 1), (33, 47, 3), (40, 40, 3)])
+    def test_pooling_and_centroids_match_oracles(self, segment, shape):
+        rng = np.random.default_rng(shape[1] + shape[2])
+        img = ImageGrid(rng.uniform(0, 1, shape))
+        seg = segment(img, 20)
+        feats = compute_pixel_features(img)
+        assert np.array_equal(pool_features(feats, seg), reference_pool_features(feats, seg))
+        assert np.array_equal(compute_centroids(seg), reference_centroids(seg))
+        graph = build_graph(img, seg)
+        assert np.array_equal(graph.features, reference_pool_features(feats, seg))
+
+    def test_counts_match_a_recount(self):
+        seg = slic_segment(ImageGrid(np.random.default_rng(1).uniform(0, 1, (33, 47))), 15)
+        assert np.array_equal(seg.counts, np.bincount(seg.label_map.ravel()))

@@ -101,7 +101,7 @@ class TestDepthMetrics:
     def test_nonpositive_truth_shifts_both_sides(self):
         truth = np.array([0.0, 1.0])
         pred = np.array([0.0, 1.0])
-        out = depth_metrics(pred, truth, np.ones(2), shift_eps=0.01)
+        out = depth_metrics(pred, truth, np.ones(2))
         assert out["rel"] == 0.0
         assert out["rms"] == 0.0
 

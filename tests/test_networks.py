@@ -306,7 +306,7 @@ class TestModel:
 
     def test_beta_initialized_to_one(self):
         rng = np.random.default_rng(0)
-        model = build_model(rng, feature_dim=4, output_dim=2, beta_init=1.0)
+        model = build_model(rng, feature_dim=4, output_dim=2)
         assert model.pairwise.beta == pytest.approx(1.0, rel=1e-9)
 
     def test_output_dim(self):

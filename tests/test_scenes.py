@@ -7,10 +7,9 @@ from ccrf import (
     corrupt_dataset,
     gen_depth_scene,
     gen_segmentation_scene,
-    inject_gaussian_noise,
-    inject_outliers,
     synth_dataset,
 )
+from ccrf import scenes
 from ccrf.scenes import (
     apply_corruption,
     class_palette,
@@ -18,6 +17,8 @@ from ccrf.scenes import (
     gen_scene,
     normalize_depth_map,
 )
+
+from helpers import reference_class_votes, reference_pool_features
 
 
 def seg_spec(**kw):
@@ -56,6 +57,12 @@ class TestSpecValidation:
             CorruptionSpec("gaussian_noise", 0.1, sigma=0.0)
         with pytest.raises(ValueError):
             CorruptionSpec("outlier", 0.1, magnitude=0.0)
+
+    @pytest.mark.parametrize("bad", [{"sigma": np.nan}, {"magnitude": np.nan}, {"sigma": np.inf}])
+    @pytest.mark.parametrize("kind", ["gaussian_noise", "outlier"])
+    def test_corruption_constants_must_be_finite(self, kind, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CorruptionSpec(kind, 0.1, **bad)
 
 
 class TestPalette:
@@ -173,14 +180,14 @@ class TestInjection:
     def test_noise_touches_expected_count(self):
         rng = np.random.default_rng(0)
         targets = np.zeros((100, 1))
-        out = inject_gaussian_noise(targets, 0.25, 0.1, rng)
+        out = apply_corruption(targets, CorruptionSpec("gaussian_noise", 0.25, sigma=0.1), rng)
         assert (out != 0).sum() == 25
         assert np.abs(out).max() < 1.0  # sigma 0.1 draws stay small
 
     def test_outliers_add_magnitude(self):
         rng = np.random.default_rng(1)
         targets = np.zeros((50, 1))
-        out = inject_outliers(targets, 0.1, 5.0, rng)
+        out = apply_corruption(targets, CorruptionSpec("outlier", 0.1, magnitude=5.0), rng)
         moved = out[out != 0]
         assert moved.size == 5
         assert np.allclose(moved, 5.0)
@@ -189,19 +196,19 @@ class TestInjection:
         # corrupting everything shifts every node exactly once
         rng = np.random.default_rng(2)
         targets = np.zeros((30, 1))
-        out = inject_outliers(targets, 1.0, 5.0, rng)
+        out = apply_corruption(targets, CorruptionSpec("outlier", 1.0, magnitude=5.0), rng)
         assert np.allclose(out, 5.0)
 
     def test_zero_fraction_is_identity(self):
         rng = np.random.default_rng(3)
         targets = np.arange(12, dtype=np.float64).reshape(-1, 1)
-        out = inject_gaussian_noise(targets, 0.0, 0.1, rng)
+        out = apply_corruption(targets, CorruptionSpec("gaussian_noise", 0.0, sigma=0.1), rng)
         assert np.array_equal(out, targets)
 
     def test_original_not_mutated(self):
         rng = np.random.default_rng(4)
         targets = np.zeros((20, 1))
-        inject_outliers(targets, 0.5, 5.0, rng)
+        apply_corruption(targets, CorruptionSpec("outlier", 0.5, magnitude=5.0), rng)
         assert np.all(targets == 0)
 
     def test_apply_corruption_dispatch(self):
@@ -237,3 +244,36 @@ class TestCorruptDataset:
         noise = corrupt_dataset(ds, CorruptionSpec("gaussian_noise", 0.5, sigma=0.2), 0)
         outlier = corrupt_dataset(ds, CorruptionSpec("outlier", 0.5), 0)
         assert not np.array_equal(noise.train[0].targets, outlier.train[0].targets)
+
+
+def spy(monkeypatch, name):
+    """Record every value ``scenes.<name>`` returns; behavior is unchanged."""
+    seen = []
+    real = getattr(scenes, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(scenes, name, wrapper)
+    return seen
+
+
+class TestNodeTargetOracles:
+    """Node targets equal the scatter oracles over the dense ground truth."""
+
+    @pytest.mark.parametrize("size", [33, 48])
+    def test_class_votes_match_oracle(self, monkeypatch, size):
+        drawn = spy(monkeypatch, "_draw_shapes")
+        for seed in range(4):
+            ex = gen_segmentation_scene(seg_spec(size=size, seed=seed, target_nodes=30))
+            votes = reference_class_votes(ex.seg, drawn[-1], 4)
+            assert np.array_equal(ex.targets, np.eye(4)[np.argmax(votes, axis=1)])
+
+    @pytest.mark.parametrize("size", [33, 48])
+    def test_depth_targets_match_oracle(self, monkeypatch, size):
+        dense = spy(monkeypatch, "normalize_depth_map")
+        for seed in range(4):
+            ex = gen_depth_scene(depth_spec(size=size, seed=seed, target_nodes=30))
+            expected = reference_pool_features(dense[-1][:, :, None], ex.seg)
+            assert np.array_equal(ex.targets, expected)
