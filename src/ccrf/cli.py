@@ -18,6 +18,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .datasets import Dataset, load_dataset, save_dataset
+from .gridio import atomic_open
 from .losses import LOSS_KINDS, LossSpec
 from .networks import load_checkpoint, save_checkpoint
 from .scenes import CorruptionSpec, SyntheticSceneSpec, corrupt_dataset, synth_dataset
@@ -110,7 +111,7 @@ def _write_run_manifest(run_dir, run_id, command, args, config) -> None:
         "run_id": run_id,
         "effective_config": config,
     }
-    with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
+    with atomic_open(os.path.join(run_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -125,14 +126,14 @@ def _synth_dataset(config: dict[str, str]) -> Dataset:
 def _write_table(run_dir, stem, header, rows) -> None:
     csv_lines = [",".join(header)]
     csv_lines += [",".join(str(cell) for cell in row) for row in rows]
-    with open(os.path.join(run_dir, f"{stem}.csv"), "w") as fh:
+    with atomic_open(os.path.join(run_dir, f"{stem}.csv")) as fh:
         fh.write("\n".join(csv_lines) + "\n")
     md_lines = [
         "| " + " | ".join(header) + " |",
         "| " + " | ".join("---" for _ in header) + " |",
     ]
     md_lines += ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
-    with open(os.path.join(run_dir, f"{stem}.md"), "w") as fh:
+    with atomic_open(os.path.join(run_dir, f"{stem}.md")) as fh:
         fh.write("\n".join(md_lines) + "\n")
 
 

@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import dgemm, dtrmm
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 _SYMMETRY_TOL = 1e-12
 
@@ -62,10 +61,26 @@ def square(work: Workspace | None, name: str, n: int) -> np.ndarray:
     return np.empty((n, n)) if work is None else work.get(name, n)
 
 
+def outer_product(
+    left: np.ndarray, right: np.ndarray, out: np.ndarray, beta: float = 0.0
+) -> np.ndarray:
+    """The product left right' plus beta out, written into the F-ordered ``out``.
+
+    ``left`` and ``right`` are C-ordered (n, k), passed to scipy's dgemm
+    as their F-ordered transposes, so f2py copies nothing.  numpy and
+    scipy each bundle their own OpenBLAS thread pool; running every n x n
+    product on scipy's, the one that factors A0, keeps the two pools from
+    contending.  Returns dgemm's result, ``out`` itself unless f2py had
+    to copy it.
+    """
+    return dgemm(1.0, left.T, right.T, beta=beta, c=out, trans_a=1, overwrite_c=1)
+
+
 @dataclass
 class PrecisionSystem:
     """Cholesky factor of A0 = I + D - R, with A0's diagonal and log-det.
 
+    ``chol`` is ``(factor, True)``, the pair scipy's ``cho_solve`` takes.
     ``chol[0]`` holds L in its lower triangle and A0's strict upper
     triangle (-R), untouched by the factorization, above it.
     """
@@ -88,7 +103,10 @@ class PrecisionSystem:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A0^-1 rhs; ``rhs`` is not checked, the functions below check it."""
-        return cho_solve(self.chol, rhs, check_finite=False)
+        x, info = dpotrs(self.chol[0], rhs, lower=1)
+        if info != 0:  # unreachable: potrs fails only on malformed arguments
+            raise RuntimeError(f"potrs failed with info {info}")
+        return x
 
 
 def assemble(affinity: np.ndarray, *, work: Workspace | None = None) -> PrecisionSystem:
@@ -131,14 +149,13 @@ def assemble(affinity: np.ndarray, *, work: Workspace | None = None) -> Precisio
     np.negative(r, out=a0)
     degree += 1.0
     np.fill_diagonal(a0, degree)
-    try:
-        # A0 is symmetric, so its transpose is A0 in the F order potrf
-        # factors in place
-        factor = cho_factor(a0.T, lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError as err:  # unreachable for valid input
-        raise RuntimeError("precision matrix lost positive definiteness") from err
-    logdet = 2.0 * float(np.log(np.diagonal(factor[0])).sum())
-    return PrecisionSystem(factor, degree, logdet)
+    # A0 is symmetric, so its transpose is A0 in the F order potrf factors
+    # in place; clean=0 keeps -R above the diagonal
+    factor, info = dpotrf(a0.T, lower=1, overwrite_a=1, clean=0)
+    if info != 0:  # unreachable for valid input
+        raise RuntimeError("precision matrix lost positive definiteness")
+    logdet = 2.0 * float(np.log(np.diagonal(factor)).sum())
+    return PrecisionSystem((factor, True), degree, logdet)
 
 
 def _check_scores(system: PrecisionSystem, scores: np.ndarray, name: str) -> np.ndarray:
@@ -161,7 +178,8 @@ def energy(system: PrecisionSystem, scores: np.ndarray, labelling: np.ndarray) -
     y = _check_scores(system, labelling, "labelling")
     if y.shape != z.shape:
         raise ValueError(f"labelling {y.shape} does not match scores {z.shape}")
-    return float((y * (system.a0 @ y)).sum() - 2.0 * (z * y).sum() + (z * z).sum())
+    a0y = dgemm(1.0, system.a0.T, y, trans_a=1)
+    return float((y * a0y).sum() - 2.0 * (z * y).sum() + (z * z).sum())
 
 
 def nll(system: PrecisionSystem, scores: np.ndarray, targets: np.ndarray) -> float:
@@ -238,7 +256,7 @@ def nll_backward(
     # x <- m x + [y, w, diag] [-y, w, 1]', so x + x' = -2 dA0 + diag_p + diag_q
     left = np.hstack([y, w, diag[:, None]])
     right = np.hstack([-y, w, np.ones((n, 1))])
-    x = dgemm(1.0, left, right, beta=float(m), c=x, trans_b=1, overwrite_c=1)
+    x = outer_product(left, right, x, beta=float(m))
     return dscores, _affinity_grad(x, square(work, "affinity", n))
 
 
@@ -261,10 +279,10 @@ def map_backward(
     # x + x' = g y' + y g' + diag_p + diag_q = -2 dA0 + diag_p + diag_q
     n = system.n
     diag = -(g * y).sum(axis=1)
-    x = np.matmul(
+    x = outer_product(
         np.hstack([g, diag[:, None]]),
-        np.hstack([y, np.ones((n, 1))]).T,
-        out=square(work, "product", n),
+        np.hstack([y, np.ones((n, 1))]),
+        square(work, "product", n).T,
     )
     return g, _affinity_grad(x, square(work, "affinity", n))
 

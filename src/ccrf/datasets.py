@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import ImageGrid, SuperpixelSegmentation
-from .gridio import read_f32grid, write_f32grid
+from .gridio import atomic_open, read_f32grid, write_f32grid
 
 TASKS = ("segmentation", "depth")
 SPLIT_MANIFESTS = {
@@ -74,7 +74,7 @@ def write_manifest(directory, split: str, task: str, examples) -> None:
         write_f32grid(os.path.join(directory, seg), example.seg.label_map.astype(np.float64))
         write_f32grid(os.path.join(directory, tgt), example.targets)
         lines.append(f"{img} {seg} {tgt}")
-    with open(os.path.join(directory, SPLIT_MANIFESTS[split]), "w") as fh:
+    with atomic_open(os.path.join(directory, SPLIT_MANIFESTS[split])) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

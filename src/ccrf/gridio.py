@@ -1,4 +1,4 @@
-"""Raw binary grid files.
+"""Raw binary grid files, and the atomic writes every artifact goes through.
 
 A ``.f32grid`` file is a little-endian header of three u32 values
 (height, width, channels) followed by row-major float32 data.
@@ -6,11 +6,35 @@ A ``.f32grid`` file is a little-endian header of three u32 values
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
 
 _HEADER = struct.Struct("<III")
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a file whose contents replace ``path`` once the block completes.
+
+    Writes go to a temporary file in ``path``'s directory, which
+    ``os.replace`` renames over ``path`` at the end.  If the block raises,
+    the temporary file is removed and ``path`` keeps what it held, so an
+    interrupted write leaves no partial file.  Nothing is fsynced: this
+    guards against an interrupted process, not against a power loss.
+    """
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_f32grid(path, values) -> None:
@@ -21,7 +45,7 @@ def write_f32grid(path, values) -> None:
     if arr.ndim != 3:
         raise ValueError(f"expected a 2-D or 3-D array, got shape {arr.shape}")
     height, width, channels = arr.shape
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(height, width, channels))
         fh.write(np.ascontiguousarray(arr).tobytes())
 

@@ -20,8 +20,10 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
-from .crf import Workspace, square
+from .crf import Workspace, outer_product, square
+from .gridio import atomic_open
 
 CHECKPOINT_MAGIC = b"CCRF1"
 
@@ -166,10 +168,10 @@ def _negated_squared_distances(points: np.ndarray, work: Workspace | None) -> np
     # entry plus its mirror is the same float both ways round, so the
     # result is exactly symmetric
     n = len(points)
-    x = np.matmul(
+    x = outer_product(
         np.hstack([points, -(points * points).sum(axis=1)[:, None]]),
-        np.hstack([points, np.ones((n, 1))]).T,
-        out=square(work, "product", n),
+        np.hstack([points, np.ones((n, 1))]),
+        square(work, "product", n).T,
     )
     return np.add(x, x.T, out=square(work, "kernel", n))
 
@@ -218,9 +220,10 @@ def pairwise_backward(
     dbeta = 0.25 * float(weighted.sum())
     dbeta_raw = dbeta * float(sigmoid(pair.beta_raw))
     weighted *= 0.5 * cache.beta
-    dembed = -2.0 * (
-        weighted.sum(axis=1)[:, None] * cache.embeddings - weighted @ cache.embeddings
-    )
+    # (weighted s)' = s' weighted' on scipy's BLAS, both operands F-ordered
+    # views, so f2py copies neither
+    smoothed = dgemm(1.0, cache.embeddings.T, weighted.T).T
+    dembed = -2.0 * (weighted.sum(axis=1)[:, None] * cache.embeddings - smoothed)
     _, embed_grads = mlp_backward(pair.embed, cache.mlp_cache, dembed)
     return embed_grads, dbeta_raw
 
@@ -278,7 +281,7 @@ def _write_tensor(fh, name: str, values: np.ndarray) -> None:
 
 def save_checkpoint(path, model: Model) -> None:
     """Serialize every tensor plus the fixed hyperparameters."""
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         for name, values in model.parameters().items():
             _write_tensor(fh, name, values)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+from .gridio import atomic_open
+
 _COLORS = ("#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df", "#bf3989")
 
 
@@ -123,5 +125,5 @@ def line_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
         )
         parts.append(f'<text x="{left + plot_w - 84}" y="{legend_y}">{label}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("\n".join(parts) + "\n")

@@ -9,7 +9,7 @@ from ccrf import (
     nll,
     nll_backward,
 )
-from ccrf.crf import NonFiniteAffinityError, Workspace, unary_nll
+from ccrf.crf import NonFiniteAffinityError, Workspace, outer_product, unary_nll
 
 from helpers import (
     central_diff,
@@ -305,6 +305,38 @@ class TestAgainstReferenceFormulas:
             assert np.allclose(daff, ref_daff, rtol=1e-10, atol=1e-12)
             assert np.array_equal(daff, daff.T)
             assert np.all(np.diagonal(daff) == 0.0)
+
+
+class TestBlasProducts:
+    # n = 300 is above OpenBLAS's threading threshold
+    N = 300
+
+    def test_outer_product_writes_into_its_output(self):
+        rng = np.random.default_rng(41)
+        left, right = rng.standard_normal((2, self.N, 9))
+        out = Workspace().get("product", self.N)
+        x = outer_product(left, right, out.T)
+        assert np.shares_memory(x, out)
+        ref = left @ right.T
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_map_backward_product_is_written_in_place(self):
+        n = self.N
+        rng = np.random.default_rng(42)
+        work = Workspace()
+        system = assemble(random_affinity(rng, n))
+        y = map_infer(system, rng.standard_normal((n, 3)))
+        dy = rng.standard_normal((n, 3))
+        _, daff = map_backward(system, y, dy, work=work)
+        assert np.shares_memory(daff, work.get("affinity", n))
+        # the product lands in the workspace's buffer: had f2py copied it,
+        # the buffer would hold whatever np.empty left there
+        product = work.get("product", n)
+        off_diagonal = ~np.eye(n, dtype=bool)
+        assert np.array_equal((product + product.T)[off_diagonal], daff[off_diagonal])
+        assert np.array_equal(daff, daff.T)
+        ref = reference_map_backward(system, y, dy)[1]
+        assert np.abs(daff - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestUnaryNll:

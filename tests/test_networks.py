@@ -19,8 +19,9 @@ from ccrf import (
     unary_backward,
     unary_forward,
 )
+from ccrf.crf import Workspace
 from ccrf.graph import NodeGraph
-from ccrf.networks import _write_tensor, sigmoid
+from ccrf.networks import _negated_squared_distances, _write_tensor, sigmoid
 
 from helpers import central_diff, grad_rel_err
 
@@ -237,6 +238,24 @@ class TestPairwiseForward:
     def test_rejects_bad_gamma(self, gamma):
         with pytest.raises(ValueError):
             fixed_identity_pairwise(gamma=gamma)
+
+
+class TestDistanceProduct:
+    def test_written_in_place_symmetric_and_exact(self):
+        # n = 300 is above OpenBLAS's threading threshold
+        n = 300
+        points = np.random.default_rng(31).standard_normal((n, 17))
+        work = Workspace()
+        dist = _negated_squared_distances(points, work)
+        assert np.shares_memory(dist, work.get("kernel", n))
+        # the product lands in the workspace's buffer: had f2py copied it,
+        # the buffer would hold whatever np.empty left there
+        product = work.get("product", n)
+        assert np.array_equal(product + product.T, dist)
+        assert np.array_equal(dist, dist.T)
+        diff = points[:, None, :] - points[None, :, :]
+        ref = -(diff * diff).sum(axis=2)
+        assert np.abs(dist - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestPairwiseBackward:
