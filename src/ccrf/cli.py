@@ -189,9 +189,10 @@ def _cmd_eval(args) -> int:
     for variant, unary_only in (("unary", True), ("full", False)):
         scores = evaluate(model, examples, dataset.task, unary_only=unary_only)
         rows.append([variant] + [_fmt_metric(scores[key]) for key in keys])
-    run_dir, run_id = _run_dir(args.out, "eval", {"ckpt": args.ckpt, "data": args.data})
+    config = {"ckpt": args.ckpt, "data": args.data}
+    run_dir, run_id = _run_dir(args.out, "eval", config)
     _write_table(run_dir, "metrics", ["variant", *_columns(keys)], rows)
-    _write_run_manifest(run_dir, run_id, "eval", args, {"seed": "0"})
+    _write_run_manifest(run_dir, run_id, "eval", args, config)
     for row in rows:
         print("  ".join(str(cell) for cell in row))
     print(f"run dir {run_dir}")

@@ -80,30 +80,28 @@ def outer_product(
 class PrecisionSystem:
     """Cholesky factor of A0 = I + D - R, with A0's diagonal and log-det.
 
-    ``chol`` is ``(factor, True)``, the pair scipy's ``cho_solve`` takes.
-    ``chol[0]`` holds L in its lower triangle and A0's strict upper
+    ``factor`` holds L in its lower triangle and A0's strict upper
     triangle (-R), untouched by the factorization, above it.
     """
 
-    chol: tuple
+    factor: np.ndarray
     diagonal: np.ndarray
     logdet_a0: float
 
     @property
     def n(self) -> int:
-        return self.chol[0].shape[0]
+        return self.factor.shape[0]
 
     @property
     def a0(self) -> np.ndarray:
         """A0, rebuilt from the factor's upper triangle and the diagonal."""
-        factor = self.chol[0]
-        a0 = np.where(np.tri(self.n, k=-1, dtype=bool), factor.T, factor)
+        a0 = np.where(np.tri(self.n, k=-1, dtype=bool), self.factor.T, self.factor)
         np.fill_diagonal(a0, self.diagonal)
         return a0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A0^-1 rhs; ``rhs`` is not checked, the functions below check it."""
-        x, info = dpotrs(self.chol[0], rhs, lower=1)
+        x, info = dpotrs(self.factor, rhs, lower=1)
         if info != 0:  # unreachable: potrs fails only on malformed arguments
             raise RuntimeError(f"potrs failed with info {info}")
         return x
@@ -155,7 +153,7 @@ def assemble(affinity: np.ndarray, *, work: Workspace | None = None) -> Precisio
     if info != 0:  # unreachable for valid input
         raise RuntimeError("precision matrix lost positive definiteness")
     logdet = 2.0 * float(np.log(np.diagonal(factor)).sum())
-    return PrecisionSystem((factor, True), degree, logdet)
+    return PrecisionSystem(factor, degree, logdet)
 
 
 def _check_scores(system: PrecisionSystem, scores: np.ndarray, name: str) -> np.ndarray:
@@ -182,45 +180,50 @@ def energy(system: PrecisionSystem, scores: np.ndarray, labelling: np.ndarray) -
     return float((y * a0y).sum() - 2.0 * (z * y).sum() + (z * z).sum())
 
 
+def _gaussian_nll(v: np.ndarray, logdet_a0: float) -> float:
+    # ||v||^2 - (m/2) logdet(A0) + (n m / 2) log(pi) with v = L'(Y - W);
+    # the sum runs in memory order, so callers pass v F-ordered, as trmm
+    # returns it
+    n, m = v.shape
+    quad = float((v * v).sum())
+    return quad - 0.5 * m * logdet_a0 + 0.5 * n * m * np.log(np.pi)
+
+
 def nll(system: PrecisionSystem, scores: np.ndarray, targets: np.ndarray) -> float:
     """Exact negative log-density of the targets under the model."""
     z = _check_scores(system, scores, "scores")
     y = _check_scores(system, targets, "targets")
     if y.shape != z.shape:
         raise ValueError(f"targets {y.shape} do not match scores {z.shape}")
-    m = z.shape[1]
     # tr(Y'A0 Y) - 2 tr(Z'Y) + tr(Z'W) = ||L'(Y - W)||^2 with A0 W = Z;
     # trmm reads only the factor's lower triangle
-    v = dtrmm(1.0, system.chol[0], y - system.solve(z), lower=1, trans_a=1)
-    quad = float((v * v).sum())
-    return quad - 0.5 * m * system.logdet_a0 + 0.5 * system.n * m * np.log(np.pi)
+    v = dtrmm(1.0, system.factor, y - system.solve(z), lower=1, trans_a=1)
+    return _gaussian_nll(v, system.logdet_a0)
 
 
 def unary_nll(scores: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """``nll`` and its score gradient at R = 0, where A0 = I.
 
-    Needs no system: MAP is the scores and log det A0 = 0.  The result is
-    bit-identical to ``nll``/``nll_backward`` on ``assemble(zeros)``.
+    Needs no system: MAP is the scores, L = I and log det A0 = 0.  The
+    result is bit-identical to ``nll``/``nll_backward`` on
+    ``assemble(zeros)``.
     """
     z = np.asarray(scores, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if z.ndim != 2 or y.shape != z.shape:
         raise ValueError(f"targets {y.shape} do not match scores {z.shape}")
-    n, m = z.shape
-    quad = float((y * y).sum() - 2.0 * (z * y).sum() + (z * z).sum())
-    return quad + 0.5 * n * m * np.log(np.pi), 2.0 * (z - y)
+    return _gaussian_nll(np.asfortranarray(y - z), 0.0), 2.0 * (z - y)
 
 
-def _affinity_grad(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # A0 = I + D - R couples each symmetric affinity pair to two diagonal
-    # and two off-diagonal precision entries, so the pair gradient is
-    # daff[p, q] = dA0[p, p] + dA0[q, q] - dA0[p, q] - dA0[q, p].  Callers
-    # pass any x with x + x' equal to that off the diagonal; the sum of an
-    # entry and its mirror is the same float both ways round, so the
-    # result is exactly symmetric.
-    daff = np.add(x, x.T, out=out)
-    np.fill_diagonal(daff, 0.0)
-    return daff
+def symmetrize(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x + x' written into ``out``, with a zero diagonal.
+
+    An entry plus its mirror is the same float both ways round, so the
+    result is exactly symmetric.
+    """
+    np.add(x, x.T, out=out)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def nll_backward(
@@ -234,7 +237,7 @@ def nll_backward(
 
     The affinity gradient accounts for the degree matrix's dependence on
     R: entry [p, q] is the sensitivity to a symmetric perturbation of the
-    pair R[p,q] = R[q,p].
+    pair R[p,q] = R[q,p], dA0[p,p] + dA0[q,q] - 2 dA0[p,q].
     """
     z = _check_scores(system, scores, "scores")
     y = _check_scores(system, targets, "targets")
@@ -246,7 +249,7 @@ def nll_backward(
     # triangle plus its mirror is A0^-1 off the diagonal
     n = system.n
     x = square(work, "product", n).T
-    np.copyto(x, system.chol[0])
+    np.copyto(x, system.factor)
     x, info = dpotri(x, lower=1, overwrite_c=1)
     if info != 0:  # unreachable: the factor came from a successful potrf
         raise RuntimeError(f"potri failed with info {info}")
@@ -257,7 +260,7 @@ def nll_backward(
     left = np.hstack([y, w, diag[:, None]])
     right = np.hstack([-y, w, np.ones((n, 1))])
     x = outer_product(left, right, x, beta=float(m))
-    return dscores, _affinity_grad(x, square(work, "affinity", n))
+    return dscores, symmetrize(x, square(work, "affinity", n))
 
 
 def map_backward(
@@ -284,5 +287,5 @@ def map_backward(
         np.hstack([y, np.ones((n, 1))]),
         square(work, "product", n).T,
     )
-    return g, _affinity_grad(x, square(work, "affinity", n))
+    return g, symmetrize(x, square(work, "affinity", n))
 

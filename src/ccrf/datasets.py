@@ -106,8 +106,6 @@ def read_manifest(path) -> tuple[str, list]:
                 raise ValueError(f"{path}:{lineno}: {err}") from err
             label_map = np.rint(seg_values).astype(np.int64)
             seg = SuperpixelSegmentation(label_map, int(label_map.max()) + 1)
-            if targets.ndim == 1:
-                targets = targets[:, None]
             examples.append(LabeledExample(ImageGrid(img), seg, targets, task))
     if task is None:
         raise ValueError(f"{path}: manifest has no task tag")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .crf import Workspace, outer_product, square
+from .crf import Workspace, outer_product, square, symmetrize
 from .gridio import atomic_open
 
 CHECKPOINT_MAGIC = b"CCRF1"
@@ -164,16 +164,14 @@ class PairwiseCache:
 
 
 def _negated_squared_distances(points: np.ndarray, work: Workspace | None) -> np.ndarray:
-    # x = [P, -|P|^2] [P, 1]' has x + x' = 2 <p, q> - |p|^2 - |q|^2; an
-    # entry plus its mirror is the same float both ways round, so the
-    # result is exactly symmetric
+    # x = [P, -|P|^2] [P, 1]' has x + x' = 2 <p, q> - |p|^2 - |q|^2
     n = len(points)
     x = outer_product(
         np.hstack([points, -(points * points).sum(axis=1)[:, None]]),
         np.hstack([points, np.ones((n, 1))]),
         square(work, "product", n).T,
     )
-    return np.add(x, x.T, out=square(work, "kernel", n))
+    return symmetrize(x, square(work, "kernel", n))
 
 
 def pairwise_forward(
@@ -214,8 +212,7 @@ def pairwise_backward(
     -2 R[p,q] (s_p - s_q) and d R[p,q] / d beta = kernel[p,q].
     """
     # twice the symmetrized gradient, weighted by the kernel
-    weighted = np.add(daffinity, daffinity.T, out=square(work, "product", len(daffinity)))
-    np.fill_diagonal(weighted, 0.0)
+    weighted = symmetrize(daffinity, square(work, "product", len(daffinity)))
     weighted *= cache.kernel
     dbeta = 0.25 * float(weighted.sum())
     dbeta_raw = dbeta * float(sigmoid(pair.beta_raw))
@@ -230,11 +227,10 @@ def pairwise_backward(
 
 @dataclass
 class Model:
-    """Unary scorer + pairwise kernel net, with the robust-loss constant."""
+    """Unary scorer + pairwise kernel net."""
 
     unary: UnaryNet
     pairwise: PairwiseNet
-    tukey_c: float = 1.0
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Named views of every trainable array (mutating them updates the model)."""
@@ -258,14 +254,13 @@ def build_model(
     embed_hidden_dims=(64,),
     embed_dim: int = 128,
     gamma: float = 0.1,
-    tukey_c: float = 1.0,
 ) -> Model:
     """Fresh model with beta = 1; the unary net is drawn first, then the
     embedding net."""
     unary = UnaryNet(Mlp.create(rng, [feature_dim, *hidden_dims, output_dim]))
     embed = Mlp.create(rng, [feature_dim, *embed_hidden_dims, embed_dim])
     beta_raw = np.array(softplus_inverse(1.0), dtype=np.float64)
-    return Model(unary, PairwiseNet(embed, beta_raw, float(gamma)), float(tukey_c))
+    return Model(unary, PairwiseNet(embed, beta_raw, float(gamma)))
 
 
 def _write_tensor(fh, name: str, values: np.ndarray) -> None:
@@ -286,7 +281,6 @@ def save_checkpoint(path, model: Model) -> None:
         for name, values in model.parameters().items():
             _write_tensor(fh, name, values)
         _write_tensor(fh, "pair.gamma", np.array(model.pairwise.gamma))
-        _write_tensor(fh, "meta.tukey_c", np.array(model.tukey_c))
 
 
 def _read_exact(fh, count: int, size: int) -> bytes:
@@ -336,7 +330,7 @@ def load_checkpoint(path) -> Model:
             raise ValueError(f"checkpoint holds no '{prefix}' layers")
         return Mlp(weights, biases)
 
-    for required in ("pair.beta_raw", "pair.gamma", "meta.tukey_c"):
+    for required in ("pair.beta_raw", "pair.gamma"):
         if required not in tensors:
             raise ValueError(f"checkpoint is missing tensor '{required}'")
         if tensors[required].shape != ():
@@ -346,4 +340,4 @@ def load_checkpoint(path) -> Model:
         np.array(float(tensors["pair.beta_raw"]), dtype=np.float64),
         float(tensors["pair.gamma"]),
     )
-    return Model(UnaryNet(collect("unary")), pairwise, float(tensors["meta.tukey_c"]))
+    return Model(UnaryNet(collect("unary")), pairwise)

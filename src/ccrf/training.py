@@ -350,13 +350,13 @@ def evaluate(
     return depth_metrics(pred, true, w)
 
 
-def _validation_metric(model, examples, task, work) -> tuple[str, float]:
+def _validation_metric(model, examples, task, work) -> float:
     if task == "segmentation":
-        return "pixel_acc", evaluate(model, examples, task, work=work)["pixel_acc"]
+        return evaluate(model, examples, task, work=work)["pixel_acc"]
     # rms alone ranks depth checkpoints: unlike the ratio metrics it stays
     # defined when noise-corrupted val targets dip nonpositive
     pred, true, w = _predictions(model, examples, task, False, work)
-    return "rms", float(np.sqrt((w * (true - pred) ** 2).sum() / w.sum()))
+    return float(np.sqrt((w * (true - pred) ** 2).sum() / w.sum()))
 
 
 def _metric_improved(task: str, candidate: float, incumbent: float) -> bool:
@@ -393,7 +393,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainHistory]:
         embed_hidden_dims=config.embed_hidden_dims,
         embed_dim=config.embed_dim,
         gamma=config.gamma,
-        tukey_c=config.loss.c,
     )
     params = model.parameters()
     velocity = {name: np.zeros_like(value) for name, value in params.items()}
@@ -436,7 +435,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainHistory]:
         # epoch names the last update before validation trips over it
         if not all(np.isfinite(value).all() for value in params.values()):
             raise DivergenceError(epoch, int(j), "parameters are not finite after the update")
-        _, metric = _validation_metric(model, val_ex, task, work)
+        metric = _validation_metric(model, val_ex, task, work)
         history.records.append(
             EpochRecord(
                 epoch,

@@ -278,6 +278,14 @@ class TestEval:
         assert table[1].startswith("unary,") and table[2].startswith("full,")
         assert os.path.exists(os.path.join(run_dir, "metrics.md"))
 
+    def test_manifest_names_checkpoint_and_data(self, tmp_path):
+        data, ckpt = self.trained_run(tmp_path, seg_config(tmp_path))
+        out = str(tmp_path / "eval_runs")
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", data, "--out", out]) == 0
+        with open(os.path.join(only_run_dir(out, "eval"), "manifest.json")) as fh:
+            manifest = json.load(fh)
+        assert manifest["effective_config"] == {"ckpt": ckpt, "data": data}
+
     def test_depth_metric_columns(self, tmp_path):
         cfg = depth_config(tmp_path)
         data, ckpt = self.trained_run(tmp_path, cfg)
@@ -306,7 +314,7 @@ class TestEval:
         assert code == 2
         assert "truncated checkpoint" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["pair.gamma", "pair.beta_raw", "meta.tukey_c"])
+    @pytest.mark.parametrize("name", ["pair.gamma", "pair.beta_raw"])
     def test_vector_scalar_in_checkpoint_is_a_data_error(self, tmp_path, capsys, name):
         data = synth_into(tmp_path, seg_config(tmp_path))
         ckpt = tmp_path / "vector.ccrf"

@@ -88,7 +88,7 @@ class TestAssemble:
         expected[np.diag_indices(40)] = 1.0 + r.sum(axis=1)
         work = Workspace()
         system = assemble(r, work=work)
-        assert np.shares_memory(system.chol[0], work.get("a0", 40))
+        assert np.shares_memory(system.factor, work.get("a0", 40))
         map_infer(system, np.ones((40, 2)))
         assert system.a0.tobytes() == expected.tobytes()
 
@@ -342,7 +342,8 @@ class TestBlasProducts:
 class TestUnaryNll:
     def test_bit_identical_to_zero_affinity(self):
         rng = np.random.default_rng(17)
-        for n, m in ((1, 1), (5, 1), (9, 3)):
+        for _ in range(300):
+            n, m = int(rng.integers(1, 60)), int(rng.integers(1, 5))
             z = rng.standard_normal((n, m))
             y = rng.standard_normal((n, m))
             system = assemble(np.zeros((n, n)))

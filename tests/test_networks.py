@@ -251,7 +251,9 @@ class TestDistanceProduct:
         # the product lands in the workspace's buffer: had f2py copied it,
         # the buffer would hold whatever np.empty left there
         product = work.get("product", n)
-        assert np.array_equal(product + product.T, dist)
+        off_diagonal = ~np.eye(n, dtype=bool)
+        assert np.array_equal((product + product.T)[off_diagonal], dist[off_diagonal])
+        assert not np.diagonal(dist).any()
         assert np.array_equal(dist, dist.T)
         diff = points[:, None, :] - points[None, :, :]
         ref = -(diff * diff).sum(axis=2)
@@ -340,7 +342,7 @@ class TestCheckpoint:
         model = build_model(
             rng, feature_dim=5, output_dim=3,
             hidden_dims=(7, 4), embed_hidden_dims=(6,), embed_dim=2,
-            gamma=0.25, tukey_c=2.5,
+            gamma=0.25,
         )
         path = tmp_path / "model.ccrf"
         save_checkpoint(path, model)
@@ -348,9 +350,22 @@ class TestCheckpoint:
 
         assert isinstance(loaded, Model)
         assert loaded.pairwise.gamma == model.pairwise.gamma
-        assert loaded.tukey_c == model.tukey_c
         orig = model.parameters()
         back = loaded.parameters()
+        assert set(orig) == set(back)
+        for key in orig:
+            assert np.array_equal(orig[key], back[key]), key
+
+    def test_older_checkpoint_with_tukey_record_loads(self, tmp_path):
+        # older versions appended a meta.tukey_c scalar; it is ignored
+        model = build_model(np.random.default_rng(22), feature_dim=4, output_dim=2)
+        path = tmp_path / "old.ccrf"
+        save_checkpoint(path, model)
+        with open(path, "ab") as fh:
+            _write_tensor(fh, "meta.tukey_c", np.array(2.5))
+        loaded = load_checkpoint(path)
+        assert loaded.pairwise.gamma == model.pairwise.gamma
+        orig, back = model.parameters(), loaded.parameters()
         assert set(orig) == set(back)
         for key in orig:
             assert np.array_equal(orig[key], back[key]), key

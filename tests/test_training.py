@@ -199,19 +199,23 @@ class TestForwardLoss:
 
     def test_unary_only_matches_zero_beta(self):
         # freezing the pairwise stage must be bit-identical to beta = 0
-        cases = (
-            (LossSpec("softmax"), lambda rng: one_hot_targets(rng, 5, 2)),
-            (LossSpec("loglik"), lambda rng: rng.uniform(0, 1, (5, 1))),
-            (LossSpec("tukey", 0.5), lambda rng: rng.uniform(0, 1, (5, 1))),
-            (LossSpec("ls"), lambda rng: rng.uniform(0, 1, (5, 1))),
-        )
-        for spec, targets_of in cases:
-            rng = np.random.default_rng(2)
-            targets = targets_of(rng)
+        cases = [("softmax", 5, 2, 2), ("loglik", 5, 1, 2), ("tukey", 5, 1, 2), ("ls", 5, 1, 2)]
+        cases += [
+            ("loglik", n, m, seed)
+            for n, m in ((5, 3), (9, 2), (30, 4), (12, 1))
+            for seed in range(40)
+        ]
+        for kind, n, m, seed in cases:
+            spec = LossSpec("tukey", 0.5) if kind == "tukey" else LossSpec(kind)
+            rng = np.random.default_rng(seed)
+            if kind == "softmax":
+                targets = one_hot_targets(rng, n, m)
+            else:
+                targets = rng.uniform(0, 1, (n, m))
             model = build_model(
                 rng, 4, targets.shape[1], hidden_dims=(5,), embed_hidden_dims=(5,), embed_dim=3
             )
-            graph = random_graph(rng, 5)
+            graph = random_graph(rng, n)
 
             loss_frozen, grads_frozen = forward_loss(
                 model, graph, targets, spec, unary_only=True
@@ -220,10 +224,10 @@ class TestForwardLoss:
             loss_zero, grads_zero = forward_loss(
                 model, graph, targets, spec, unary_only=False
             )
-            assert loss_frozen == loss_zero, spec.kind
+            assert loss_frozen == loss_zero, (kind, n, m, seed)
             for name in grads_frozen:
                 if name.startswith("unary."):
-                    assert np.array_equal(grads_frozen[name], grads_zero[name]), (spec.kind, name)
+                    assert np.array_equal(grads_frozen[name], grads_zero[name]), (kind, name)
 
     @pytest.mark.parametrize("kind", ["loglik", "softmax"])
     def test_unary_only_builds_no_field(self, monkeypatch, kind):
