@@ -17,20 +17,13 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from .datasets import Dataset, load_dataset, save_dataset
+from .datasets import SPLIT_MANIFESTS, Dataset, load_dataset, read_manifest, save_dataset
 from .gridio import atomic_open
 from .losses import LOSS_KINDS, LossSpec
 from .networks import load_checkpoint, save_checkpoint
 from .scenes import CorruptionSpec, SyntheticSceneSpec, corrupt_dataset, synth_dataset
 from .svgplot import line_plot
-from .training import (
-    DivergenceError,
-    config_from_mapping,
-    evaluate,
-    parse_config,
-    prepare_examples,
-    train,
-)
+from .training import DivergenceError, TrainConfig, evaluate, prepare_examples, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,11 +31,69 @@ EXIT_DATA = 2
 EXIT_DIVERGED = 3
 EXIT_PARTIAL = 4
 
-# config keys that describe a synthetic dataset, with their parsers; a key
-# the config leaves out takes the library's default
+
+def _int_list(text: str) -> tuple:
+    values = tuple(int(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise ValueError(f"empty list {text!r}")
+    return values
+
+
+def _clip_norm(text: str) -> float | None:
+    return None if text.lower() == "none" else float(text)
+
+
+# every config key, in one table per library object or call it fills, with
+# its parser; a key the file leaves out takes the library's default
 _SCENE_KEYS = {"task": str, "size": int, "classes": int, "shape_count": int,
                "noise_level": float, "target_nodes": int, "seed": int}
 _SPLIT_KEYS = {"count": int, "train_frac": float, "val_frac": float}
+_LOSS_KEYS = {"loss": str, "tukey_c": float}
+_TRAIN_KEYS = {"lr": float, "momentum": float, "weight_decay": float, "epochs": int,
+               "warmup_epochs": int, "seed": int, "clip_norm": _clip_norm,
+               "hidden_dims": _int_list, "embed_hidden_dims": _int_list,
+               "embed_dim": int, "gamma": float, "keep": str}
+_CORRUPTION_KEYS = {"noise_sigma": float, "outlier_magnitude": float}
+_ABLATE_KEYS = {"ablate_classes": _int_list}
+_CONFIG_KEYS = frozenset().union(_SCENE_KEYS, _SPLIT_KEYS, _LOSS_KEYS, _TRAIN_KEYS,
+                                 _CORRUPTION_KEYS, _ABLATE_KEYS)
+# keys named otherwise than the parameter they set
+_RENAMED = {"loss": "kind", "tukey_c": "c", "warmup_epochs": "unary_warmup_epochs",
+            "noise_sigma": "sigma", "outlier_magnitude": "magnitude"}
+
+
+def parse_config(path) -> dict[str, str]:
+    """Read a plain key=value config file; '#' starts a comment."""
+    mapping: dict[str, str] = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            mapping[key] = value
+    return mapping
+
+
+def _given(config: dict[str, str], table: dict) -> dict:
+    """Keyword arguments for the keys of ``table`` that ``config`` sets."""
+    kwargs = {}
+    for key, parse in table.items():
+        if key in config:
+            try:
+                kwargs[_RENAMED.get(key, key)] = parse(config[key])
+            except ValueError as err:
+                raise ValueError(f"config key {key!r}: {err}") from err
+    return kwargs
+
+
+def train_config(config: dict[str, str]) -> TrainConfig:
+    """The training constants a parsed config sets, over the library defaults."""
+    return TrainConfig(loss=LossSpec(**_given(config, _LOSS_KEYS)), **_given(config, _TRAIN_KEYS))
 
 
 class _UsageError(Exception):
@@ -117,10 +168,8 @@ def _write_run_manifest(run_dir, run_id, command, args, config) -> None:
 
 
 def _synth_dataset(config: dict[str, str]) -> Dataset:
-    def given(keys):
-        return {key: parse(config[key]) for key, parse in keys.items() if key in config}
-
-    return synth_dataset(SyntheticSceneSpec(**given(_SCENE_KEYS)), **given(_SPLIT_KEYS))
+    spec = SyntheticSceneSpec(**_given(config, _SCENE_KEYS))
+    return synth_dataset(spec, **_given(config, _SPLIT_KEYS))
 
 
 def _write_table(run_dir, stem, header, rows) -> None:
@@ -158,12 +207,12 @@ def _cmd_train(args) -> int:
     mapping = _effective_config(
         parse_config(args.config), {"seed": args.seed, "loss": args.loss}
     )
-    config = config_from_mapping(mapping)
+    config = train_config(mapping)
     dataset = load_dataset(args.data)
     if dataset.task == "depth" and config.loss.kind == "softmax":
         raise ValueError("softmax loss needs class targets, not depth values")
-    run_dir, run_id = _run_dir(args.out, "train", mapping)
     model, history = train(dataset, config)
+    run_dir, run_id = _run_dir(args.out, "train", mapping)
     save_checkpoint(os.path.join(run_dir, "checkpoint.ccrf"), model)
     history.write_csv(os.path.join(run_dir, "history.csv"))
     _write_run_manifest(run_dir, run_id, "train", args, mapping)
@@ -180,14 +229,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
-    dataset = load_dataset(args.data)
-    examples = prepare_examples(dataset.test)
+    task, test = read_manifest(os.path.join(args.data, SPLIT_MANIFESTS["test"]))
+    examples = prepare_examples(test)
     if not examples:
         raise ValueError(f"{args.data}: test split is empty")
-    keys = _TASKS[dataset.task].metrics
+    keys = _TASKS[task].metrics
     rows = []
     for variant, unary_only in (("unary", True), ("full", False)):
-        scores = evaluate(model, examples, dataset.task, unary_only=unary_only)
+        scores = evaluate(model, examples, task, unary_only=unary_only)
         rows.append([variant] + [_fmt_metric(scores[key]) for key in keys])
     config = {"ckpt": args.ckpt, "data": args.data}
     run_dir, run_id = _run_dir(args.out, "eval", config)
@@ -213,7 +262,7 @@ class _Task(NamedTuple):
 
 
 def _class_count_cells(config):
-    for m in [int(v) for v in config.get("ablate_classes", "2,4,8").split(",")]:
+    for m in _given(config, _ABLATE_KEYS).get("ablate_classes", (2, 4, 8)):
         yield m, _synth_dataset({**config, "classes": str(m)}), {"pixel_acc_vs_classes": m}
 
 
@@ -226,11 +275,10 @@ _CORRUPTION_SWEEP = (  # label, corruption kind, fraction, svg stem
 
 
 def _corruption_cells(config):
-    sigma = float(config.get("noise_sigma", CorruptionSpec.sigma))
-    magnitude = float(config.get("outlier_magnitude", CorruptionSpec.magnitude))
-    seed = int(config.get("seed", SyntheticSceneSpec.seed))
+    constants = _given(config, _CORRUPTION_KEYS)
+    seed = _given(config, _SCENE_KEYS).get("seed", SyntheticSceneSpec.seed)
     # every spec is checked before the clean cell trains
-    specs = [CorruptionSpec(kind, fraction, sigma=sigma, magnitude=magnitude)
+    specs = [CorruptionSpec(kind, fraction, **constants)
              for _, kind, fraction, _ in _CORRUPTION_SWEEP]
     clean = _synth_dataset(config)
     yield "0%", clean, {"delta_vs_noise": 0.0, "delta_vs_outliers": 0.0}
@@ -277,13 +325,12 @@ def _columns(keys) -> list[str]:
 
 def _cmd_ablate(args) -> int:
     mapping = _effective_config(parse_config(args.config), {"seed": args.seed})
-    run_dir, run_id = _run_dir(args.out, "ablate", mapping)
     task = mapping.get("task", SyntheticSceneSpec.task)
     if task not in _TASKS:
         raise ValueError(f"unknown task {task!r}")
     sweep = _TASKS[task]
     configs = {
-        kind: config_from_mapping({**sweep.base, **mapping, "loss": kind}) for kind in sweep.losses
+        kind: train_config({**sweep.base, **mapping, "loss": kind}) for kind in sweep.losses
     }
     curves = {stem: {kind: ([], []) for kind in sweep.losses} for stem in sweep.plots}
     failures = 0
@@ -301,6 +348,7 @@ def _cmd_ablate(args) -> int:
             for stem, x in plot_xs.items():
                 curves[stem][kind][0].append(x)
                 curves[stem][kind][1].append(scores[sweep.plot_metric])
+    run_dir, run_id = _run_dir(args.out, "ablate", mapping)
     for stem, (title, xlabel, ylabel) in sweep.plots.items():
         series = [(kind, xs, ys) for kind, (xs, ys) in curves[stem].items() if xs]
         if series:

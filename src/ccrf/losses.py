@@ -18,7 +18,7 @@ LOSS_KINDS = ("softmax", "tukey", "ls", "loglik")
 class LossSpec:
     """Loss selector; ``c`` is the robust clipping constant (tukey only)."""
 
-    kind: str
+    kind: str = "softmax"
     c: float = 1.0
 
     def __post_init__(self):

@@ -41,8 +41,9 @@ class SyntheticSceneSpec:
             raise ValueError(f"need at least two classes, got {self.classes}")
         if self.shape_count < 0:
             raise ValueError("shape_count must be nonnegative")
-        if self.noise_level < 0:
-            raise ValueError("noise_level must be nonnegative")
+        # NaN fails every comparison, so the level is checked finite first
+        if not (np.isfinite(self.noise_level) and self.noise_level >= 0):
+            raise ValueError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
         if self.target_nodes < 1:
             raise ValueError("target_nodes must be positive")
 
@@ -212,7 +213,8 @@ def synth_dataset(
     """Generate ``count`` scenes (seed + index each) and split them in order."""
     if count < 1:
         raise ValueError("count must be positive")
-    if train_frac < 0 or val_frac < 0 or train_frac + val_frac > 1.0 + 1e-12:
+    # NaN fails every comparison, so only the affirmative test rejects it
+    if not (train_frac >= 0 and val_frac >= 0 and train_frac + val_frac <= 1.0 + 1e-12):
         raise ValueError("split fractions must be nonnegative and sum to at most 1")
     examples = []
     for i in range(count):

@@ -59,7 +59,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    loss: LossSpec = field(default_factory=lambda: LossSpec("softmax"))
+    loss: LossSpec = field(default_factory=LossSpec)
     lr: float = 1e-3
     momentum: float = 0.9
     weight_decay: float = 5e-4
@@ -89,62 +89,6 @@ class TrainConfig:
             raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if self.keep not in ("best", "last"):
             raise ValueError(f"keep must be 'best' or 'last', got {self.keep!r}")
-
-
-def _parse_dims(mapping: dict[str, str], key: str, default: tuple) -> tuple:
-    if key not in mapping:
-        return default
-    text = mapping[key]
-    dims = tuple(int(part) for part in text.split(",") if part.strip())
-    if not dims:
-        raise ValueError(f"empty layer list {text!r}")
-    return dims
-
-
-def parse_config(path) -> dict[str, str]:
-    """Read a plain key=value config file; '#' starts a comment."""
-    mapping: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            mapping[key.strip()] = value.strip()
-    return mapping
-
-
-def config_from_mapping(mapping: dict[str, str]) -> TrainConfig:
-    """Build a TrainConfig from string key=value pairs, applying defaults."""
-    defaults = TrainConfig()
-    loss = LossSpec(
-        mapping.get("loss", defaults.loss.kind),
-        float(mapping.get("tukey_c", defaults.loss.c)),
-    )
-    clip_text = mapping.get("clip_norm", "")
-    if clip_text.lower() in ("", "none"):
-        clip = defaults.clip_norm if clip_text == "" else None
-    else:
-        clip = float(clip_text)
-    return TrainConfig(
-        loss=loss,
-        lr=float(mapping.get("lr", defaults.lr)),
-        momentum=float(mapping.get("momentum", defaults.momentum)),
-        weight_decay=float(mapping.get("weight_decay", defaults.weight_decay)),
-        epochs=int(mapping.get("epochs", defaults.epochs)),
-        unary_warmup_epochs=int(
-            mapping.get("warmup_epochs", defaults.unary_warmup_epochs)
-        ),
-        seed=int(mapping.get("seed", defaults.seed)),
-        clip_norm=clip,
-        hidden_dims=_parse_dims(mapping, "hidden_dims", defaults.hidden_dims),
-        embed_hidden_dims=_parse_dims(mapping, "embed_hidden_dims", defaults.embed_hidden_dims),
-        embed_dim=int(mapping.get("embed_dim", defaults.embed_dim)),
-        gamma=float(mapping.get("gamma", defaults.gamma)),
-        keep=mapping.get("keep", defaults.keep),
-    )
 
 
 @dataclass

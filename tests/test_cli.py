@@ -1,12 +1,15 @@
 import json
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from ccrf import (
+    LossSpec,
     SyntheticSceneSpec,
+    TrainConfig,
     build_model,
     cli,
     load_checkpoint,
@@ -17,6 +20,8 @@ from ccrf import (
     synth_dataset,
     write_f32grid,
 )
+from ccrf.cli import parse_config
+from ccrf.cli import train_config as config_from_mapping
 
 
 def write_config(path, **kv):
@@ -53,6 +58,76 @@ def only_run_dir(root, command):
     entries = [e for e in os.listdir(root) if e.startswith(f"{command}-")]
     assert len(entries) == 1, entries
     return os.path.join(root, entries[0])
+
+
+class TestConfigParsing:
+    def test_parse_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "# a comment line\n"
+            "loss = tukey  # trailing comment\n"
+            "lr=0.005\n"
+            "\n"
+            "hidden_dims = 32,16\n"
+        )
+        mapping = parse_config(path)
+        assert mapping == {"loss": "tukey", "lr": "0.005", "hidden_dims": "32,16"}
+
+    def test_parse_rejects_bare_words(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("not a key value line\n")
+        with pytest.raises(ValueError):
+            parse_config(path)
+
+    def test_mapping_to_config(self):
+        cfg = config_from_mapping(
+            {
+                "loss": "tukey",
+                "tukey_c": "0.5",
+                "lr": "0.02",
+                "epochs": "7",
+                "warmup_epochs": "2",
+                "hidden_dims": "32,16",
+                "embed_dim": "8",
+                "clip_norm": "none",
+            }
+        )
+        assert cfg.loss == LossSpec("tukey", 0.5)
+        assert cfg.lr == 0.02
+        assert cfg.epochs == 7
+        assert cfg.unary_warmup_epochs == 2
+        assert cfg.hidden_dims == (32, 16)
+        assert cfg.embed_dim == 8
+        assert cfg.clip_norm is None
+
+    def test_mapping_defaults(self):
+        cfg = config_from_mapping({})
+        assert cfg == TrainConfig()
+
+    def test_mapping_keep(self):
+        assert config_from_mapping({"keep": "last"}).keep == "last"
+        with pytest.raises(ValueError):
+            config_from_mapping({"keep": "first"})
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("command", ["synth", "train", "ablate"])
+    def test_unknown_key_is_a_data_error(self, tmp_path, capsys, command):
+        data = synth_into(tmp_path, seg_config(tmp_path))
+        cfg = seg_config(tmp_path, name="typo.cfg", warmup_epoch=0)
+        out = tmp_path / "runs"
+        data_flag = ["--data", data] if command == "train" else []
+        assert cli.main([command, "--config", cfg, "--out", str(out), *data_flag]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:" in err and "unknown config key 'warmup_epoch'" in err
+        assert not out.exists()
+
+    def test_readme_table_lists_every_key(self):
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+        section = readme.split("### Config file", 1)[1].split("\n### ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        keys = {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+        assert keys == cli._CONFIG_KEYS
 
 
 class TestUsage:
@@ -124,6 +199,18 @@ class TestSynth:
         code = cli.main(["synth", "--config", seg_config(tmp_path), "--out", str(tmp_path / "data")])
         assert code == 2
         assert "error: Unable to allocate 29.1 TiB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("noise_level", "nan"), ("noise_level", "inf"), ("train_frac", "nan"), ("val_frac", "nan")],
+    )
+    def test_nonfinite_scene_constant_is_a_data_error(self, tmp_path, capsys, key, value):
+        out = tmp_path / "runs"
+        cfg = seg_config(tmp_path, **{key: value})
+        assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 2
+        message = "split fractions" if key.endswith("_frac") else "noise_level must be finite"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(
@@ -208,6 +295,13 @@ class TestTrain:
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_empty_value_is_a_data_error(self, tmp_path, capsys):
+        data = synth_into(tmp_path, seg_config(tmp_path))
+        cfg = seg_config(tmp_path, name="empty.cfg", clip_norm="")
+        code = cli.main(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "runs")])
+        assert code == 2
+        assert "clip_norm" in capsys.readouterr().err
+
     @pytest.mark.parametrize("split", ["train", "val"])
     def test_nonfinite_target_is_a_data_error(self, tmp_path, capsys, split):
         cfg = depth_config(tmp_path, loss="loglik")
@@ -230,6 +324,7 @@ class TestTrain:
         with np.errstate(all="ignore"):
             code = cli.main(["train", "--config", cfg, "--data", data, "--out", out])
         assert code == 3
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("make_config", [seg_config, depth_config])
     def test_parameter_overflow_is_a_divergence(self, tmp_path, capsys, make_config):
@@ -347,6 +442,13 @@ class TestEval:
         assert code == 2
         assert "pixels" in capsys.readouterr().err
 
+    def test_reads_only_the_test_split(self, tmp_path):
+        data, ckpt = self.trained_run(tmp_path, seg_config(tmp_path))
+        for split in ("train", "val"):
+            with open(os.path.join(data, f"{split}.manifest"), "w") as fh:
+                fh.write("not a manifest\n")
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", data, "--out", str(tmp_path / "out")]) == 0
+
     def test_empty_test_split(self, tmp_path):
         no_test = seg_config(
             tmp_path, name="no_test.cfg", count=2, train_frac="1.0", val_frac="0.0"
@@ -399,5 +501,6 @@ class TestAblate:
         cfg = depth_config(tmp_path, epochs=1, warmup_epochs=0, **bad)
         assert cli.main(["ablate", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
         assert calls == []
+        assert not (tmp_path / "runs").exists()
         err = capsys.readouterr().err
         assert "sigma" in err or "magnitude" in err

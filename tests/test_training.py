@@ -19,13 +19,7 @@ from ccrf import (
     training,
 )
 from ccrf.crf import Workspace
-from ccrf.training import (
-    EpochRecord,
-    PreparedExample,
-    config_from_mapping,
-    global_grad_norm,
-    parse_config,
-)
+from ccrf.training import EpochRecord, PreparedExample, global_grad_norm
 
 from helpers import grad_rel_err, model_param_fd, random_graph
 
@@ -91,56 +85,6 @@ class TestTrainConfig:
         for gamma in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 TrainConfig(gamma=gamma)
-
-
-class TestConfigParsing:
-    def test_parse_file(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "# a comment line\n"
-            "loss = tukey  # trailing comment\n"
-            "lr=0.005\n"
-            "\n"
-            "hidden_dims = 32,16\n"
-        )
-        mapping = parse_config(path)
-        assert mapping == {"loss": "tukey", "lr": "0.005", "hidden_dims": "32,16"}
-
-    def test_parse_rejects_bare_words(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("not a key value line\n")
-        with pytest.raises(ValueError):
-            parse_config(path)
-
-    def test_mapping_to_config(self):
-        cfg = config_from_mapping(
-            {
-                "loss": "tukey",
-                "tukey_c": "0.5",
-                "lr": "0.02",
-                "epochs": "7",
-                "warmup_epochs": "2",
-                "hidden_dims": "32,16",
-                "embed_dim": "8",
-                "clip_norm": "none",
-            }
-        )
-        assert cfg.loss == LossSpec("tukey", 0.5)
-        assert cfg.lr == 0.02
-        assert cfg.epochs == 7
-        assert cfg.unary_warmup_epochs == 2
-        assert cfg.hidden_dims == (32, 16)
-        assert cfg.embed_dim == 8
-        assert cfg.clip_norm is None
-
-    def test_mapping_defaults(self):
-        cfg = config_from_mapping({})
-        assert cfg == TrainConfig()
-
-    def test_mapping_keep(self):
-        assert config_from_mapping({"keep": "last"}).keep == "last"
-        with pytest.raises(ValueError):
-            config_from_mapping({"keep": "first"})
 
 
 class TestForwardLoss:
