@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dtrmm
+from scipy.linalg.blas import dgemm, dsymv, dsyr2k, dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 _SYMMETRY_TOL = 1e-12
@@ -38,12 +38,17 @@ class Workspace:
     """Named n x n float64 arrays that live across calls of the same n.
 
     The field functions take one as ``work`` and write their n x n results
-    into its arrays instead of fresh ones; an array is reallocated only
-    when n changes.  A result written there stays valid only until the
-    next call that writes the same name: "kernel" (the Gaussian kernel),
-    "a0" (A0, factored in place), "product" (the distance product, then
-    the backward product, then the weighted gradient) and "affinity" (R,
-    then dL/dR).
+    into its arrays instead of fresh ones; an array is reallocated, zeroed
+    and F-ordered, only when n changes.  Every symmetric result written
+    there is exact in the array's lower triangle only, which is all that
+    LAPACK and the symmetric BLAS routines read; the other triangle holds
+    finite or NaN leftovers that nothing reduces over.  A result stays
+    valid only until the next call that writes the same name: "kernel"
+    (the negated squared distances, then the Gaussian kernel), "a0" (A0,
+    factored in place) and "affinity" (the flush mask, then R, then
+    dL/dR, then the kernel-weighted gradient).  Passed back with the same
+    workspace, its own "affinity" is trusted without the full-matrix
+    checks that any other matrix gets.
     """
 
     def __init__(self):
@@ -52,41 +57,63 @@ class Workspace:
     def get(self, name: str, n: int) -> np.ndarray:
         arr = self._arrays.get(name)
         if arr is None or arr.shape[0] != n:
-            arr = self._arrays[name] = np.empty((n, n))
+            arr = self._arrays[name] = np.zeros((n, n), order="F")
         return arr
+
+    def holds(self, name: str, arr) -> bool:
+        """Whether ``arr`` is this workspace's array ``name`` itself."""
+        return self._arrays.get(name) is arr
 
 
 def square(work: Workspace | None, name: str, n: int) -> np.ndarray:
-    """A C-ordered n x n array: ``work``'s array ``name``, or a fresh one."""
-    return np.empty((n, n)) if work is None else work.get(name, n)
+    """An F-ordered n x n array: ``work``'s array ``name``, or a fresh one."""
+    return np.empty((n, n), order="F") if work is None else work.get(name, n)
 
 
-def outer_product(
+def symmetric_product(
     left: np.ndarray, right: np.ndarray, out: np.ndarray, beta: float = 0.0
 ) -> np.ndarray:
-    """The product left right' plus beta out, written into the F-ordered ``out``.
+    """The lower triangle of left right' + right left' + beta out, in ``out``.
 
-    ``left`` and ``right`` are C-ordered (n, k), passed to scipy's dgemm
+    One dsyr2k, which reads and writes only the lower triangle of the
+    F-ordered ``out``.  ``left`` and ``right`` are C-ordered (n, k), passed
     as their F-ordered transposes, so f2py copies nothing.  numpy and
     scipy each bundle their own OpenBLAS thread pool; running every n x n
     product on scipy's, the one that factors A0, keeps the two pools from
-    contending.  Returns dgemm's result, ``out`` itself unless f2py had
+    contending.  Returns dsyr2k's result, ``out`` itself unless f2py had
     to copy it.
     """
-    return dgemm(1.0, left.T, right.T, beta=beta, c=out, trans_a=1, overwrite_c=1)
+    return dsyr2k(1.0, left.T, right.T, beta=beta, c=out, trans=1, lower=1, overwrite_c=1)
+
+
+def symmetric_result(x: np.ndarray, work: Workspace | None) -> np.ndarray:
+    """Finish a result held in ``x``'s lower triangle, with a zero diagonal.
+
+    With ``work`` the result stays in its triangle; without, ``x`` becomes
+    the full matrix: the strict lower triangle plus its mirror, which is
+    exactly symmetric.
+    """
+    if work is None:
+        return symmetrize(np.tril(x, -1), x)
+    np.fill_diagonal(x, 0.0)
+    return x
 
 
 @dataclass
 class PrecisionSystem:
     """Cholesky factor of A0 = I + D - R, with A0's diagonal and log-det.
 
-    ``factor`` holds L in its lower triangle and A0's strict upper
-    triangle (-R), untouched by the factorization, above it.
+    ``factor`` is F-ordered and holds L in its lower triangle.  When R
+    came in as a full matrix, A0's strict upper triangle (-R), which the
+    factorization leaves alone, sits above it and ``a0`` is rebuilt from
+    it; ``keeps_a0`` is False when R was the workspace's own one-triangle
+    affinity.
     """
 
     factor: np.ndarray
     diagonal: np.ndarray
     logdet_a0: float
+    keeps_a0: bool = True
 
     @property
     def n(self) -> int:
@@ -94,7 +121,18 @@ class PrecisionSystem:
 
     @property
     def a0(self) -> np.ndarray:
-        """A0, rebuilt from the factor's upper triangle and the diagonal."""
+        """A0, rebuilt from the factor's upper triangle and the diagonal.
+
+        Valid as long as the factor is: with a workspace, until the next
+        ``assemble`` on it.  A system assembled from the workspace's own
+        affinity never held -R outside the triangle the factor took, so
+        asking it for A0 raises instead.
+        """
+        if not self.keeps_a0:
+            raise RuntimeError(
+                "A0 is not kept for a system assembled from its workspace's own "
+                "affinity; assemble a full affinity matrix to read it"
+            )
         a0 = np.where(np.tri(self.n, k=-1, dtype=bool), self.factor.T, self.factor)
         np.fill_diagonal(a0, self.diagonal)
         return a0
@@ -113,10 +151,39 @@ def assemble(affinity: np.ndarray, *, work: Workspace | None = None) -> Precisio
     R must be square, finite, nonnegative, symmetric, and zero on the
     diagonal; anything else is rejected, a NaN or infinite entry with
     ``NonFiniteAffinityError``.  Asymmetry and diagonal entries within
-    rounding tolerance are cleaned away.  Factorization failure would
-    contradict the positive-definiteness guarantee and is surfaced as a
-    hard internal error.
+    rounding tolerance are cleaned away.  ``work``'s own affinity, as
+    ``pairwise_forward`` leaves it, is built that way and exact in its
+    lower triangle, so only its finiteness is checked, through its row
+    sums.  Factorization failure would contradict the
+    positive-definiteness guarantee and is surfaced as a hard internal
+    error.
     """
+    trusted = work is not None and work.holds("affinity", affinity)
+    if trusted:
+        r = affinity
+        n = r.shape[0]
+        # a NaN or infinite entry makes its row sums nonfinite
+        degree = dsymv(1.0, r, np.ones(n), lower=1)
+        if not np.isfinite(degree).all():
+            raise NonFiniteAffinityError("affinity entries and row sums must be finite")
+        a0 = square(work, "a0", n)
+    else:
+        r, degree, a0 = _checked_affinity(affinity, work)
+
+    # the lower triangle of -R is all potrf reads; with a full R, clean=0
+    # keeps -R above the diagonal
+    np.negative(r, out=a0)
+    degree += 1.0
+    np.fill_diagonal(a0, degree)
+    factor, info = dpotrf(a0, lower=1, overwrite_a=1, clean=0)
+    if info != 0:  # unreachable for valid input
+        raise RuntimeError("precision matrix lost positive definiteness")
+    logdet = 2.0 * float(np.log(np.diagonal(factor)).sum())
+    return PrecisionSystem(factor, degree, logdet, keeps_a0=not trusted)
+
+
+def _checked_affinity(affinity, work: Workspace | None):
+    """A caller's R, validated and cleaned, its row sums, and A0's buffer."""
     r = np.asarray(affinity, dtype=np.float64)
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
         raise ValueError(f"affinity must be a nonempty square matrix, got shape {r.shape}")
@@ -131,7 +198,7 @@ def assemble(affinity: np.ndarray, *, work: Workspace | None = None) -> Precisio
     if not np.isfinite(degree).all():
         raise NonFiniteAffinityError("affinity entries and row sums must be finite")
     tol = _SYMMETRY_TOL * max(1.0, float(r.max()))
-    # the asymmetry; the buffer becomes A0 below
+    # the asymmetry; the buffer becomes A0
     a0 = np.subtract(r, r.T, out=square(work, "a0", r.shape[0]))
     asymmetry = float(np.abs(a0, out=a0).max())
     if asymmetry > tol:
@@ -143,17 +210,7 @@ def assemble(affinity: np.ndarray, *, work: Workspace | None = None) -> Precisio
         r = 0.5 * (r + r.T)
         np.fill_diagonal(r, 0.0)
         degree = r.sum(axis=1)
-
-    np.negative(r, out=a0)
-    degree += 1.0
-    np.fill_diagonal(a0, degree)
-    # A0 is symmetric, so its transpose is A0 in the F order potrf factors
-    # in place; clean=0 keeps -R above the diagonal
-    factor, info = dpotrf(a0.T, lower=1, overwrite_a=1, clean=0)
-    if info != 0:  # unreachable for valid input
-        raise RuntimeError("precision matrix lost positive definiteness")
-    logdet = 2.0 * float(np.log(np.diagonal(factor)).sum())
-    return PrecisionSystem(factor, degree, logdet)
+    return r, degree, a0
 
 
 def _check_scores(system: PrecisionSystem, scores: np.ndarray, name: str) -> np.ndarray:
@@ -237,30 +294,29 @@ def nll_backward(
 
     The affinity gradient accounts for the degree matrix's dependence on
     R: entry [p, q] is the sensitivity to a symmetric perturbation of the
-    pair R[p,q] = R[q,p], dA0[p,p] + dA0[q,q] - 2 dA0[p,q].
+    pair R[p,q] = R[q,p], dA0[p,p] + dA0[q,q] - 2 dA0[p,q].  With ``work``
+    it lives in the lower triangle of work's "affinity".
     """
     z = _check_scores(system, scores, "scores")
     y = _check_scores(system, targets, "targets")
     m = z.shape[1]
     w = system.solve(z)
     dscores = 2.0 * (w - y)
-    # dA0 = y y' - w w' - (m/2) A0^-1.  potri turns the existing factor into
-    # the lower triangle of A0^-1; with the upper triangle zeroed, the
-    # triangle plus its mirror is A0^-1 off the diagonal
+    # dA0 = y y' - w w' - (m/2) A0^-1.  potri turns a copy of the factor
+    # into the lower triangle of A0^-1, the only one syr2k reads
     n = system.n
-    x = square(work, "product", n).T
+    x = square(work, "affinity", n)
     np.copyto(x, system.factor)
     x, info = dpotri(x, lower=1, overwrite_c=1)
     if info != 0:  # unreachable: the factor came from a successful potrf
         raise RuntimeError(f"potri failed with info {info}")
-    for col in range(1, n):
-        x[:col, col] = 0.0
     diag = (y * y).sum(axis=1) - (w * w).sum(axis=1) - 0.5 * m * np.diagonal(x)
-    # x <- m x + [y, w, diag] [-y, w, 1]', so x + x' = -2 dA0 + diag_p + diag_q
+    # m A0^-1 + [y, w, diag] [-y, w, 1]' + [-y, w, 1] [y, w, diag]'
+    # = -2 dA0 + diag_p + diag_q
     left = np.hstack([y, w, diag[:, None]])
     right = np.hstack([-y, w, np.ones((n, 1))])
-    x = outer_product(left, right, x, beta=float(m))
-    return dscores, symmetrize(x, square(work, "affinity", n))
+    x = symmetric_product(left, right, x, beta=float(m))
+    return dscores, symmetric_result(x, work)
 
 
 def map_backward(
@@ -274,18 +330,18 @@ def map_backward(
 
     Given dL/dY at the inferred labelling, returns (dL/dZ, dL/dR) without
     ever re-solving the forward system from scratch: one extra solve with
-    the incoming gradient suffices.
+    the incoming gradient suffices.  With ``work``, dL/dR lives in the
+    lower triangle of work's "affinity".
     """
     y = _check_scores(system, labelling, "labelling")
     g = system.solve(_check_scores(system, dlabelling, "dlabelling"))
-    # dA0 is the symmetric part of -g y'; x = [g, diag] [y, 1]' gives
-    # x + x' = g y' + y g' + diag_p + diag_q = -2 dA0 + diag_p + diag_q
+    # dA0 is the symmetric part of -g y'; [g, diag] [y, 1]' plus its
+    # transpose is g y' + y g' + diag_p + diag_q = -2 dA0 + diag_p + diag_q
     n = system.n
     diag = -(g * y).sum(axis=1)
-    x = outer_product(
+    x = symmetric_product(
         np.hstack([g, diag[:, None]]),
         np.hstack([y, np.ones((n, 1))]),
-        square(work, "product", n).T,
+        square(work, "affinity", n),
     )
-    return g, symmetrize(x, square(work, "affinity", n))
-
+    return g, symmetric_result(x, work)

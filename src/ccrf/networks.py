@@ -20,9 +20,9 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dsymm, dsymv
 
-from .crf import Workspace, outer_product, square, symmetrize
+from .crf import Workspace, square, symmetric_product, symmetric_result, symmetrize
 from .gridio import atomic_open
 
 CHECKPOINT_MAGIC = b"CCRF1"
@@ -158,20 +158,37 @@ class PairwiseNet:
 @dataclass
 class PairwiseCache:
     embeddings: np.ndarray
-    kernel: np.ndarray  # exp term without the beta scale, zero diagonal
+    kernel: np.ndarray  # exp term without the beta scale, zero diagonal; with a
+    # workspace, exact in the lower triangle only
     beta: float
     mlp_cache: MlpCache
 
 
 def _negated_squared_distances(points: np.ndarray, work: Workspace | None) -> np.ndarray:
-    # x = [P, -|P|^2] [P, 1]' has x + x' = 2 <p, q> - |p|^2 - |q|^2
+    # [P, -|P|^2] [P, 1]' plus its transpose is 2 <p, q> - |p|^2 - |q|^2
     n = len(points)
-    x = outer_product(
+    x = symmetric_product(
         np.hstack([points, -(points * points).sum(axis=1)[:, None]]),
         np.hstack([points, np.ones((n, 1))]),
-        square(work, "product", n).T,
+        square(work, "kernel", n),
     )
-    return symmetrize(x, square(work, "kernel", n))
+    return symmetric_result(x, work)
+
+
+def _flush_exp(exponent: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """exp of the nonpositive ``exponent`` in place, zero below ``_EXP_FLOOR``.
+
+    Equal bit for bit to ``np.where(exponent < _EXP_FLOOR, 0, exp(exponent))``,
+    NaN staying NaN, but exp never sees the -inf that would take its slow
+    path: it runs on the exponent clamped at the floor, and the mask
+    ``exponent >= _EXP_FLOOR``, written into the float array ``mask``,
+    zeroes the flushed entries afterwards.
+    """
+    np.greater_equal(exponent, _EXP_FLOOR, out=mask)
+    # cancellation can leave a squared distance's negation above 0
+    np.clip(exponent, _EXP_FLOOR, 0.0, out=exponent)
+    np.exp(exponent, out=exponent)
+    return np.multiply(exponent, mask, out=exponent)
 
 
 def pairwise_forward(
@@ -182,18 +199,19 @@ def pairwise_forward(
     The exponent is one negated squared distance between the stacked
     points [s, sqrt(gamma) l].  A NaN embedding or scale propagates into
     R rather than being flushed, so a broken field cannot pass as a
-    zero one.  With ``work``, R and the cached kernel live in its arrays.
+    zero one.  With ``work``, R and the cached kernel live in the lower
+    triangles of its arrays; without, both are full matrices.
     """
     embeddings, mlp_cache = mlp_forward(pair.embed, graph.features)
     kernel = _negated_squared_distances(
         np.hstack([embeddings, np.sqrt(pair.gamma) * graph.centroids]), work
     )
-    np.minimum(kernel, 0.0, out=kernel)  # cancellation can leave it above 0
-    kernel[kernel < _EXP_FLOOR] = -np.inf  # NaN compares false and stays
-    np.exp(kernel, out=kernel)
+    n = len(kernel)
+    affinity = square(work, "affinity", n)
+    _flush_exp(kernel, affinity)
     np.fill_diagonal(kernel, 0.0)
     beta = pair.beta
-    affinity = np.multiply(beta, kernel, out=square(work, "affinity", len(kernel)))
+    np.multiply(beta, kernel, out=affinity)
     return affinity, PairwiseCache(embeddings, kernel, beta, mlp_cache)
 
 
@@ -207,20 +225,25 @@ def pairwise_backward(
     """Chain an affinity gradient back to (embedding grads, d beta_raw).
 
     ``daffinity`` holds the sensitivity of the loss to each symmetric
-    entry pair of R; it is symmetrized on entry and its diagonal ignored.
-    Each unordered pair contributes once, via d R[p,q] / d s_p =
+    entry pair of R, and its diagonal is ignored.  ``work``'s own
+    "affinity", as ``map_backward`` and ``nll_backward`` leave it, is read
+    from its lower triangle; any other matrix is symmetrized first.  Each
+    unordered pair contributes once, via d R[p,q] / d s_p =
     -2 R[p,q] (s_p - s_q) and d R[p,q] / d beta = kernel[p,q].
     """
-    # twice the symmetrized gradient, weighted by the kernel
-    weighted = symmetrize(daffinity, square(work, "product", len(daffinity)))
+    n = len(daffinity)
+    weighted = square(work, "affinity", n)
+    if weighted is not daffinity:
+        symmetrize(daffinity, weighted)
+        weighted *= 0.5
     weighted *= cache.kernel
-    dbeta = 0.25 * float(weighted.sum())
+    # row sums and (weighted s)' = s' weighted read only the lower
+    # triangle; s' is an F-ordered view, so f2py copies nothing
+    rows = dsymv(1.0, weighted, np.ones(n), lower=1)
+    dbeta = 0.5 * float(rows.sum())
     dbeta_raw = dbeta * float(sigmoid(pair.beta_raw))
-    weighted *= 0.5 * cache.beta
-    # (weighted s)' = s' weighted' on scipy's BLAS, both operands F-ordered
-    # views, so f2py copies neither
-    smoothed = dgemm(1.0, cache.embeddings.T, weighted.T).T
-    dembed = -2.0 * (weighted.sum(axis=1)[:, None] * cache.embeddings - smoothed)
+    smoothed = dsymm(1.0, weighted, cache.embeddings.T, side=1, lower=1).T
+    dembed = (-2.0 * cache.beta) * (rows[:, None] * cache.embeddings - smoothed)
     _, embed_grads = mlp_backward(pair.embed, cache.mlp_cache, dembed)
     return embed_grads, dbeta_raw
 

@@ -115,11 +115,12 @@ def _infer(
     graph: NodeGraph,
     targets: np.ndarray,
     unary_only: bool,
-    work: Workspace | None,
+    work: Workspace,
 ):
     """Unary scores, then the precision system, with both stages' caches;
     ``unary_only`` stops at the scores (A0 = I) and returns None for the rest.
-    The system and the pairwise cache live in ``work``'s arrays."""
+    The system and the pairwise cache live in ``work``'s arrays, in the one
+    triangle that every later stage reads."""
     scores, unary_cache = unary_forward(model.unary, graph)
     if targets.shape != scores.shape:
         raise ValueError(
@@ -146,10 +147,12 @@ def forward_loss(
     the field reduces to independent per-node regression and no n x n
     array is built.  Pairwise parameters get exactly zero gradient (no
     weight decay either), and the result is bit-identical to running the
-    full pipeline with beta = 0.  ``work`` lends the n x n arrays; only
-    the loss and gradients, which never alias them, are returned.
+    full pipeline with beta = 0.  ``work`` lends the n x n arrays, or the
+    call keeps its own; the results do not depend on which, and only the
+    loss and gradients, which never alias them, are returned.
     """
     targets = np.asarray(targets, dtype=np.float64)
+    work = Workspace() if work is None else work
     scores, system, unary_cache, pair_cache = _infer(model, graph, targets, unary_only, work)
     if not np.isfinite(scores).all():
         raise NonFiniteLossError("unary scores are not finite")
@@ -255,6 +258,7 @@ def _predictions(
     model: Model, examples, task: str, unary_only: bool, work: Workspace | None
 ):
     """Concatenated (pred, true, pixel_count) vectors over all examples."""
+    work = Workspace() if work is None else work
     preds, trues, weights = [], [], []
     for ex in examples:
         scores, system, _, _ = _infer(model, ex.graph, ex.targets, unary_only, work)
@@ -287,7 +291,6 @@ def evaluate(
         raise ValueError("model emits a single score column, not class scores")
     if task == "depth" and model.output_dim() != 1:
         raise ValueError("depth evaluation needs a single-column model")
-    work = Workspace() if work is None else work
     pred, true, w = _predictions(model, examples, task, unary_only, work)
     if task == "segmentation":
         return seg_metrics(pred, true, w, examples[0].targets.shape[1])

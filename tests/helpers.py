@@ -3,7 +3,8 @@
 import numpy as np
 from scipy import ndimage
 
-from ccrf import NodeGraph, assemble
+from ccrf import NodeGraph, assemble, mlp_backward
+from ccrf.networks import sigmoid
 
 
 def central_diff(fn, x, step=1e-5):
@@ -92,6 +93,20 @@ def reference_map_backward(system, labelling, dlabelling):
     da0 = -g @ y.T
     da0 = 0.5 * (da0 + da0.T)
     return g, _reference_affinity_grad(da0)
+
+
+def reference_pairwise_backward(pair, cache, daffinity):
+    """Embedding and scale gradients from full n x n matrices: the oracle
+    for ``pairwise_backward``; ``cache`` must hold the full kernel."""
+    sym = 0.5 * (daffinity + daffinity.T)
+    np.fill_diagonal(sym, 0.0)
+    weighted = sym * cache.kernel
+    dbeta_raw = 0.5 * float(weighted.sum()) * float(sigmoid(pair.beta_raw))
+    weighted *= cache.beta
+    s = cache.embeddings
+    dembed = -2.0 * (weighted.sum(axis=1)[:, None] * s - weighted @ s)
+    _, grads = mlp_backward(pair.embed, cache.mlp_cache, dembed)
+    return grads, dbeta_raw
 
 
 def _reference_affinity_grad(da0):

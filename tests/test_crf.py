@@ -9,7 +9,7 @@ from ccrf import (
     nll,
     nll_backward,
 )
-from ccrf.crf import NonFiniteAffinityError, Workspace, outer_product, unary_nll
+from ccrf.crf import NonFiniteAffinityError, Workspace, symmetric_product, unary_nll
 
 from helpers import (
     central_diff,
@@ -91,6 +91,25 @@ class TestAssemble:
         assert np.shares_memory(system.factor, work.get("a0", 40))
         map_infer(system, np.ones((40, 2)))
         assert system.a0.tobytes() == expected.tobytes()
+
+    def test_workspace_affinity_is_trusted_in_its_lower_triangle(self):
+        n = 40
+        r = random_affinity(np.random.default_rng(18), n)
+        work = Workspace()
+        own = work.get("affinity", n)
+        own[...] = np.tril(r)  # the full-matrix checks would call this asymmetric
+        system = assemble(own, work=work)
+        full = assemble(r)
+        lower = np.tri(n, dtype=bool)
+        assert np.allclose(system.factor[lower], full.factor[lower], rtol=1e-14, atol=0.0)
+        assert system.logdet_a0 == pytest.approx(full.logdet_a0, rel=1e-14)
+        with pytest.raises(RuntimeError, match="not kept"):
+            system.a0
+        with pytest.raises(ValueError, match="symmetric"):
+            assemble(own.copy(), work=work)
+        own[3, 1] = np.nan
+        with pytest.raises(NonFiniteAffinityError):
+            assemble(own, work=work)
 
     def test_rounding_asymmetry_is_cleaned(self):
         rng = np.random.default_rng(16)
@@ -278,7 +297,7 @@ class TestNllBackward:
 
 
 class TestAgainstReferenceFormulas:
-    @pytest.mark.parametrize("n", [1, 2, 60])
+    @pytest.mark.parametrize("n", [1, 2, 60, 300])
     def test_nll_backward_matches_explicit_inverse(self, n):
         rng = np.random.default_rng(100 + n)
         for m in (1, 3):
@@ -292,7 +311,7 @@ class TestAgainstReferenceFormulas:
             assert np.array_equal(daff, daff.T)
             assert np.all(np.diagonal(daff) == 0.0)
 
-    @pytest.mark.parametrize("n", [1, 2, 60])
+    @pytest.mark.parametrize("n", [1, 2, 60, 300])
     def test_map_backward_matches_unfused_formula(self, n):
         rng = np.random.default_rng(200 + n)
         for m in (1, 3):
@@ -311,14 +330,15 @@ class TestBlasProducts:
     # n = 300 is above OpenBLAS's threading threshold
     N = 300
 
-    def test_outer_product_writes_into_its_output(self):
+    def test_symmetric_product_writes_into_its_output(self):
         rng = np.random.default_rng(41)
         left, right = rng.standard_normal((2, self.N, 9))
-        out = Workspace().get("product", self.N)
-        x = outer_product(left, right, out.T)
+        out = Workspace().get("affinity", self.N)
+        x = symmetric_product(left, right, out)
         assert np.shares_memory(x, out)
-        ref = left @ right.T
-        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref = left @ right.T + right @ left.T
+        lower = np.tri(self.N, dtype=bool)
+        assert np.abs(x - ref)[lower].max() <= 1e-12 * np.abs(ref).max()
 
     def test_map_backward_product_is_written_in_place(self):
         n = self.N
@@ -328,15 +348,55 @@ class TestBlasProducts:
         y = map_infer(system, rng.standard_normal((n, 3)))
         dy = rng.standard_normal((n, 3))
         _, daff = map_backward(system, y, dy, work=work)
-        assert np.shares_memory(daff, work.get("affinity", n))
         # the product lands in the workspace's buffer: had f2py copied it,
-        # the buffer would hold whatever np.empty left there
-        product = work.get("product", n)
-        off_diagonal = ~np.eye(n, dtype=bool)
-        assert np.array_equal((product + product.T)[off_diagonal], daff[off_diagonal])
-        assert np.array_equal(daff, daff.T)
+        # the buffer would still hold the zeros it was allocated with
+        assert np.shares_memory(daff, work.get("affinity", n))
         ref = reference_map_backward(system, y, dy)[1]
-        assert np.abs(daff - ref).max() <= 1e-12 * np.abs(ref).max()
+        lower = np.tri(n, dtype=bool)
+        assert np.abs(work.get("affinity", n) - ref)[lower].max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestLowerTriangle:
+    """With a workspace, dL/dR is exact in the lower triangle of its
+    "affinity", and the other triangle is never read."""
+
+    @staticmethod
+    def poisoned_workspace(n):
+        work = Workspace()
+        work.get("affinity", n)[...] = np.nan
+        return work
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_nll_backward_matches_explicit_inverse(self, n):
+        rng = np.random.default_rng(300 + n)
+        lower = np.tri(n, dtype=bool)
+        for m in (1, 3):
+            system = assemble(random_affinity(rng, n))
+            z = rng.standard_normal((n, m))
+            y = rng.standard_normal((n, m))
+            work = self.poisoned_workspace(n)
+            dscores, daff = nll_backward(system, z, y, work=work)
+            ref_dscores, ref_daff = reference_nll_backward(system, z, y)
+            assert daff is work.get("affinity", n)
+            assert np.array_equal(dscores, ref_dscores)
+            assert np.allclose(daff[lower], ref_daff[lower], rtol=1e-10, atol=1e-12)
+            assert np.all(np.diagonal(daff) == 0.0)
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_map_backward_matches_unfused_formula(self, n):
+        rng = np.random.default_rng(400 + n)
+        lower = np.tri(n, dtype=bool)
+        for m in (1, 3):
+            system = assemble(random_affinity(rng, n))
+            y = map_infer(system, rng.standard_normal((n, m)))
+            dy = rng.standard_normal((n, m))
+            work = self.poisoned_workspace(n)
+            dscores, daff = map_backward(system, y, dy, work=work)
+            ref_dscores, ref_daff = reference_map_backward(system, y, dy)
+            assert daff is work.get("affinity", n)
+            assert np.array_equal(dscores, ref_dscores)
+            assert np.allclose(daff[lower], ref_daff[lower], rtol=1e-10, atol=1e-12)
+            assert np.all(np.diagonal(daff) == 0.0)
 
 
 class TestUnaryNll:

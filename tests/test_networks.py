@@ -7,8 +7,11 @@ from ccrf import (
     Mlp,
     Model,
     PairwiseNet,
+    assemble,
     build_model,
     load_checkpoint,
+    map_backward,
+    map_infer,
     mlp_backward,
     mlp_forward,
     pairwise_backward,
@@ -21,9 +24,20 @@ from ccrf import (
 )
 from ccrf.crf import Workspace
 from ccrf.graph import NodeGraph
-from ccrf.networks import _negated_squared_distances, _write_tensor, sigmoid
+from ccrf.networks import (
+    _EXP_FLOOR,
+    _flush_exp,
+    _negated_squared_distances,
+    _write_tensor,
+    sigmoid,
+)
 
-from helpers import central_diff, grad_rel_err
+from helpers import (
+    central_diff,
+    grad_rel_err,
+    reference_map_backward,
+    reference_pairwise_backward,
+)
 
 
 def graph_of(features, centroids=None):
@@ -247,17 +261,30 @@ class TestDistanceProduct:
         points = np.random.default_rng(31).standard_normal((n, 17))
         work = Workspace()
         dist = _negated_squared_distances(points, work)
-        assert np.shares_memory(dist, work.get("kernel", n))
         # the product lands in the workspace's buffer: had f2py copied it,
-        # the buffer would hold whatever np.empty left there
-        product = work.get("product", n)
-        off_diagonal = ~np.eye(n, dtype=bool)
-        assert np.array_equal((product + product.T)[off_diagonal], dist[off_diagonal])
+        # the buffer would still hold the zeros it was allocated with
+        assert np.shares_memory(dist, work.get("kernel", n))
         assert not np.diagonal(dist).any()
-        assert np.array_equal(dist, dist.T)
         diff = points[:, None, :] - points[None, :, :]
         ref = -(diff * diff).sum(axis=2)
-        assert np.abs(dist - ref).max() <= 1e-12 * np.abs(ref).max()
+        lower = np.tri(n, dtype=bool)
+        assert np.abs(work.get("kernel", n) - ref)[lower].max() <= 1e-12 * np.abs(ref).max()
+        # without a workspace: that triangle and its mirror, exactly symmetric
+        full = _negated_squared_distances(points, None)
+        assert np.array_equal(full, full.T)
+        assert np.array_equal(full[lower], dist[lower])
+
+
+class TestKernelFlush:
+    def test_equals_where_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        x = -rng.exponential(40.0, (50, 50))
+        x[::7, ::3] = np.nan
+        x[1, :5] = [_EXP_FLOOR, np.nextafter(_EXP_FLOOR, 0.0), np.nextafter(_EXP_FLOOR, -1.0), 0.0, -0.0]
+        assert (x < _EXP_FLOOR).any() and (x > _EXP_FLOOR).any()
+        expected = np.where(x < _EXP_FLOOR, 0.0, np.exp(x))
+        got = _flush_exp(x.copy(), np.empty_like(x))
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestPairwiseBackward:
@@ -304,6 +331,38 @@ class TestPairwiseBackward:
         _, cache = pairwise_forward(net, graph)
         grads, _ = pairwise_backward(net, cache, rng.standard_normal((6, 6)))
         assert np.allclose(grads[-1][1], 0.0, atol=1e-14)
+
+
+class TestPairwiseBackwardLowerTriangle:
+    """The library's own dL/dR is read from its lower triangle only."""
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_matches_full_matrix_reference(self, n):
+        rng = np.random.default_rng(500 + n)
+        net = PairwiseNet(Mlp.create(rng, [4, 8, 5]), np.asarray(0.3), 10.0)
+        graph = graph_of(rng.standard_normal((n, 4)), rng.uniform(0, 1, (n, 2)))
+        work = Workspace()
+        affinity, cache = pairwise_forward(net, graph, work=work)
+        full_affinity, full_cache = pairwise_forward(net, graph)
+        lower = np.tri(n, dtype=bool)
+        assert np.array_equal(affinity[lower], full_affinity[lower])
+        system = assemble(affinity, work=work)
+        y = map_infer(system, rng.standard_normal((n, 3)))
+        dy = rng.standard_normal((n, 3))
+        _, daff = map_backward(system, y, dy, work=work)
+        ref_daff = reference_map_backward(system, y, dy)[1]
+        # the full-matrix checks would reject this triangle-only gradient
+        work.get("affinity", n)[~lower] = np.nan
+
+        grads, dbeta_raw = pairwise_backward(net, cache, daff, work=work)
+        ref_grads, ref_dbeta_raw = reference_pairwise_backward(net, full_cache, ref_daff)
+        analytic = [g for pair in grads for g in pair] + [np.array([dbeta_raw])]
+        reference = [g for pair in ref_grads for g in pair] + [np.array([ref_dbeta_raw])]
+        assert grad_rel_err(analytic, reference) < 1e-10
+        # a caller's full matrix gets the same result
+        plain, plain_dbeta_raw = pairwise_backward(net, full_cache, ref_daff)
+        plain = [g for pair in plain for g in pair] + [np.array([plain_dbeta_raw])]
+        assert grad_rel_err(plain, reference) < 1e-10
 
 
 class TestModel:

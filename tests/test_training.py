@@ -430,6 +430,41 @@ class TestWorkspace:
         for key in without:
             assert np.array_equal(with_work[key], without[key]), key
 
+    @staticmethod
+    def filled(n, value):
+        work = Workspace()
+        for name in ("kernel", "a0", "affinity"):
+            work.get(name, n)[...] = value
+        return work
+
+    @pytest.mark.parametrize("value", [np.nan, 1e308])
+    def test_leftovers_in_the_arrays_change_nothing(self, value):
+        # every pass reads only the triangle the step wrote, so neither NaN
+        # nor a huge value in the other one reaches a result or a warning
+        n = 60
+        for spec in self.SPECS:
+            model, graph, targets = self.problem(spec, n)
+            loss, grads = forward_loss(model, graph, targets, spec, work=Workspace())
+            loss_f, grads_f = forward_loss(model, graph, targets, spec, work=self.filled(n, value))
+            assert loss_f == loss, spec.kind
+            for name in grads:
+                assert grads_f[name].tobytes() == grads[name].tobytes(), (spec.kind, name)
+        for task, m in (("segmentation", 3), ("depth", 1)):
+            rng = np.random.default_rng([n, m])
+            model = build_model(rng, 4, m, hidden_dims=(5,), embed_hidden_dims=(5,), embed_dim=3)
+            examples = [
+                PreparedExample(
+                    random_graph(rng, n),
+                    one_hot_targets(rng, n, m) if m > 1 else rng.uniform(0.5, 1.5, (n, 1)),
+                    rng.integers(1, 5, n).astype(np.float64),
+                )
+                for _ in range(2)
+            ]
+            fresh = evaluate(model, examples, task)
+            reused = evaluate(model, examples, task, work=self.filled(n, value))
+            for key in fresh:
+                assert np.asarray(reused[key]).tobytes() == np.asarray(fresh[key]).tobytes(), key
+
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
     def test_second_same_n_step_allocates_no_square_array(self, spec):
         n = 200
