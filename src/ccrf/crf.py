@@ -28,6 +28,8 @@ from scipy.linalg.blas import dgemm, dsymv, dsyr2k, dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 _SYMMETRY_TOL = 1e-12
+# columns per panel when a one-triangle result is mirrored into a full matrix
+_MIRROR_PANEL = 256
 
 
 class NonFiniteAffinityError(ValueError):
@@ -87,15 +89,23 @@ def symmetric_product(
 
 
 def symmetric_result(x: np.ndarray, work: Workspace | None) -> np.ndarray:
-    """Finish a result held in ``x``'s lower triangle, with a zero diagonal.
+    """Finish a result held in the F-ordered ``x``'s lower triangle.
 
-    With ``work`` the result stays in its triangle; without, ``x`` becomes
-    the full matrix: the strict lower triangle plus its mirror, which is
-    exactly symmetric.
+    Its diagonal becomes zero.  With ``work`` the result stays in its
+    triangle; without, the strict lower triangle is copied onto the upper
+    one, so ``x`` becomes the full, exactly symmetric matrix.
     """
-    if work is None:
-        return symmetrize(np.tril(x, -1), x)
-    np.fill_diagonal(x, 0.0)
+    if work is not None:
+        np.fill_diagonal(x, 0.0)
+        return x
+    # one column panel at a time, so every copy reads and writes whole
+    # column segments
+    n = len(x)
+    for lo in range(0, n, _MIRROR_PANEL):
+        hi = min(lo + _MIRROR_PANEL, n)
+        x[lo:hi, hi:] = x[hi:, lo:hi].T
+        block = np.tril(x[lo:hi, lo:hi], -1)
+        x[lo:hi, lo:hi] = block + block.T
     return x
 
 
@@ -183,10 +193,19 @@ def assemble(affinity: np.ndarray, *, work: Workspace | None = None) -> Precisio
 
 
 def _checked_affinity(affinity, work: Workspace | None):
-    """A caller's R, validated and cleaned, its row sums, and A0's buffer."""
+    """A caller's R, validated and cleaned, its row sums, and A0's buffer.
+
+    R comes back as an F-ordered view, like the buffer, so that copying it
+    in is one contiguous pass.
+    """
     r = np.asarray(affinity, dtype=np.float64)
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
         raise ValueError(f"affinity must be a nonempty square matrix, got shape {r.shape}")
+    # every check below holds for R' exactly when it holds for R, and a
+    # checked R is exactly symmetric, so R' may stand in for it; C order
+    # keeps the transposed pass as fast as numpy makes it
+    if not r.flags.c_contiguous:
+        r = r.T
     # min is NaN if any entry is; once R >= 0 holds, the row sums are
     # finite exactly when every entry is
     low = float(r.min())
@@ -198,8 +217,8 @@ def _checked_affinity(affinity, work: Workspace | None):
     if not np.isfinite(degree).all():
         raise NonFiniteAffinityError("affinity entries and row sums must be finite")
     tol = _SYMMETRY_TOL * max(1.0, float(r.max()))
-    # the asymmetry; the buffer becomes A0
-    a0 = np.subtract(r, r.T, out=square(work, "a0", r.shape[0]))
+    # the asymmetry, in the C-ordered view of the buffer that becomes A0
+    a0 = np.subtract(r, r.T, out=square(work, "a0", r.shape[0]).T)
     asymmetry = float(np.abs(a0, out=a0).max())
     if asymmetry > tol:
         raise ValueError("affinity must be symmetric")
@@ -210,7 +229,7 @@ def _checked_affinity(affinity, work: Workspace | None):
         r = 0.5 * (r + r.T)
         np.fill_diagonal(r, 0.0)
         degree = r.sum(axis=1)
-    return r, degree, a0
+    return r.T, degree, a0.T
 
 
 def _check_scores(system: PrecisionSystem, scores: np.ndarray, name: str) -> np.ndarray:
