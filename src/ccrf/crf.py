@@ -113,11 +113,10 @@ def symmetric_result(x: np.ndarray, work: Workspace | None) -> np.ndarray:
 class PrecisionSystem:
     """Cholesky factor of A0 = I + D - R, with A0's diagonal and log-det.
 
-    ``factor`` is F-ordered and holds L in its lower triangle.  When R
-    came in as a full matrix, A0's strict upper triangle (-R), which the
-    factorization leaves alone, sits above it and ``a0`` is rebuilt from
-    it; ``keeps_a0`` is False when R was the workspace's own one-triangle
-    affinity.
+    ``factor`` is F-ordered and holds L in its lower triangle and, unless
+    R was the workspace's own one-triangle affinity (``keeps_a0`` False),
+    A0's strict upper triangle (-R), untouched by the factorization,
+    above it.
     """
 
     factor: np.ndarray
