@@ -26,7 +26,6 @@ from .graph import (
     compute_pixel_features,
     grid_segment,
     pool_features,
-    slic_segment,
 )
 from .losses import (
     LossSpec,
@@ -42,7 +41,6 @@ from .networks import (
     Mlp,
     Model,
     PairwiseNet,
-    UnaryNet,
     build_model,
     load_checkpoint,
     mlp_backward,
@@ -52,7 +50,6 @@ from .networks import (
     save_checkpoint,
     softplus,
     softplus_inverse,
-    unary_backward,
     unary_forward,
 )
 from .scenes import (

@@ -262,8 +262,13 @@ class _Task(NamedTuple):
 
 
 def _class_count_cells(config):
-    for m in _given(config, _ABLATE_KEYS).get("ablate_classes", (2, 4, 8)):
-        yield m, _synth_dataset({**config, "classes": str(m)}), {"pixel_acc_vs_classes": m}
+    counts = _given(config, _ABLATE_KEYS).get("ablate_classes", (2, 4, 8))
+    # every class count is checked before the first cell trains
+    specs = [SyntheticSceneSpec(**_given({**config, "classes": str(m)}, _SCENE_KEYS))
+             for m in counts]
+    split = _given(config, _SPLIT_KEYS)
+    for m, spec in zip(counts, specs):
+        yield m, synth_dataset(spec, **split), {"pixel_acc_vs_classes": m}
 
 
 _CORRUPTION_SWEEP = (  # label, corruption kind, fraction, svg stem

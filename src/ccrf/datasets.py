@@ -104,7 +104,14 @@ def read_manifest(path) -> tuple[str, list]:
                 )
             except OSError as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from err
-            label_map = np.rint(seg_values).astype(np.int64)
+            # NaN fails every comparison; the bound keeps the cast exact
+            whole = (seg_values >= 0) & (seg_values < seg_values.size)
+            if not (whole & (seg_values == np.floor(seg_values))).all():
+                raise ValueError(
+                    f"{path}:{lineno}: node indices must be whole numbers in "
+                    f"[0, {seg_values.size}), the number of pixels"
+                )
+            label_map = seg_values.astype(np.int64)
             seg = SuperpixelSegmentation(label_map, int(label_map.max()) + 1)
             examples.append(LabeledExample(ImageGrid(img), seg, targets, task))
     if task is None:

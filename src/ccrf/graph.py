@@ -1,8 +1,8 @@
 """Superpixel node graphs: segmentation, pixel features, pooling, centroids.
 
-An image is reduced to a small set of 4-connected superpixel nodes.  Each
-node carries mean-pooled pixel features and a normalized centroid; these
-are the only quantities downstream models ever see.
+An image is reduced to a small set of superpixel nodes.  Each node carries
+mean-pooled pixel features and a normalized centroid; these are the only
+quantities downstream models ever see.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-
-_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 
 @dataclass
@@ -127,117 +125,6 @@ def grid_segment(image: ImageGrid, target_count: int) -> SuperpixelSegmentation:
     col_id = (np.arange(width) * cols) // width
     label_map = row_id[:, None] * cols + col_id[None, :]
     return SuperpixelSegmentation(label_map, rows * cols)
-
-
-def slic_segment(
-    image: ImageGrid,
-    target_count: int,
-    compactness: float = 10.0,
-    max_iters: int = 10,
-) -> SuperpixelSegmentation:
-    """Local k-means over (color, scaled position) with grid seeding.
-
-    Seeds sit at the centers of a near-square tiling; each center claims
-    pixels inside a window of twice the seed spacing.  Equal distances are
-    resolved toward the lowest segment index, so the result is fully
-    deterministic.  A post-pass enforces 4-connectivity by merging every
-    orphan component into the largest adjacent segment.
-    """
-    height, width = image.height, image.width
-    if target_count > height * width:
-        raise ValueError(f"target_count {target_count} exceeds pixel count")
-    if target_count < 2:
-        raise ValueError(f"need at least two superpixels, got {target_count}")
-    if compactness <= 0:
-        raise ValueError(f"compactness must be positive, got {compactness}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
-
-    values = image.values
-    rows, cols = _best_grid(height, width, target_count)
-    k = rows * cols
-    step = max(int(round(np.sqrt(height * width / k))), 1)
-    spatial_weight = compactness / step
-
-    center_pos = np.empty((k, 2))
-    center_pos[:, 0] = np.repeat((np.arange(rows) + 0.5) * height / rows, cols)
-    center_pos[:, 1] = np.tile((np.arange(cols) + 0.5) * width / cols, rows)
-    seed_pixels = np.minimum(center_pos.astype(int), [height - 1, width - 1])
-    center_col = values[seed_pixels[:, 0], seed_pixels[:, 1]]
-
-    # (row, col, color...) per pixel: one reduction updates both halves of a centre
-    pixels = np.concatenate([_pixel_grid(height, width), values], axis=2)
-    labels = np.zeros((height, width), dtype=np.int64)
-
-    for _ in range(max_iters):
-        dist = np.full((height, width), np.inf)
-        labels[:] = 0
-        for ci in range(k):
-            cr, cc = center_pos[ci]
-            r0 = max(int(cr) - 2 * step, 0)
-            r1 = min(int(cr) + 2 * step + 1, height)
-            c0 = max(int(cc) - 2 * step, 0)
-            c1 = min(int(cc) + 2 * step + 1, width)
-            if r0 >= r1 or c0 >= c1:
-                continue
-            color_d2 = ((values[r0:r1, c0:c1] - center_col[ci]) ** 2).sum(axis=2)
-            pos_d2 = ((pixels[r0:r1, c0:c1, :2] - (cr, cc)) ** 2).sum(axis=2)
-            d = color_d2 + spatial_weight**2 * pos_d2
-            window = dist[r0:r1, c0:c1]
-            better = d < window  # strict: earlier (lower) index keeps ties
-            window[better] = d[better]
-            labels[r0:r1, c0:c1][better] = ci
-
-        missed = np.isinf(dist)
-        if missed.any():
-            mr, mc = np.nonzero(missed)
-            color_d2 = ((values[mr, mc][:, None, :] - center_col[None, :, :]) ** 2).sum(axis=2)
-            pos_d2 = ((pixels[mr, mc][:, None, :2] - center_pos[None, :, :]) ** 2).sum(axis=2)
-            labels[mr, mc] = np.argmin(color_d2 + spatial_weight**2 * pos_d2, axis=1)
-
-        counts = np.bincount(labels.ravel(), minlength=k)
-        occupied = counts > 0
-        means = _node_sums(labels, pixels, k)[occupied] / counts[occupied, None]
-        center_pos[occupied] = means[:, :2]
-        center_col[occupied] = means[:, 2:]
-
-    labels = _merge_orphan_components(labels)
-    uniq, compact = np.unique(labels, return_inverse=True)
-    return SuperpixelSegmentation(compact.reshape(labels.shape), len(uniq))
-
-
-def _adjacent_labels(labels: np.ndarray, mask: np.ndarray) -> set[int]:
-    border = ndimage.binary_dilation(mask, structure=_FOUR_CONNECTED) & ~mask
-    return {int(v) for v in np.unique(labels[border])}
-
-
-def _merge_orphan_components(labels: np.ndarray) -> np.ndarray:
-    # every label must form one 4-connected region; smaller components are
-    # absorbed by the largest adjacent segment (ties to the lowest index)
-    labels = labels.copy()
-    while True:
-        changed = False
-        for lab in np.unique(labels):
-            mask = labels == lab
-            components, count = ndimage.label(mask, structure=_FOUR_CONNECTED)
-            if count <= 1:
-                continue
-            sizes = np.bincount(components.ravel())[1:]
-            keep = int(np.argmax(sizes)) + 1
-            for ci in range(1, count + 1):
-                if ci == keep:
-                    continue
-                component = components == ci
-                neighbours = _adjacent_labels(labels, component)
-                neighbours.discard(int(lab))
-                if not neighbours:
-                    continue
-                areas = np.bincount(labels.ravel())
-                target = min(neighbours, key=lambda t: (-areas[t], t))
-                labels[component] = target
-                changed = True
-        if not changed:
-            return labels
 
 
 def compute_pixel_features(image: ImageGrid) -> np.ndarray:

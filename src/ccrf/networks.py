@@ -121,20 +121,9 @@ def mlp_backward(
     return grad, param_grads
 
 
-@dataclass
-class UnaryNet:
-    """Maps pooled node features to per-node score vectors."""
-
-    mlp: Mlp
-
-
-def unary_forward(unary: UnaryNet, graph) -> tuple[np.ndarray, MlpCache]:
-    return mlp_forward(unary.mlp, graph.features)
-
-
-def unary_backward(unary: UnaryNet, cache: MlpCache, dscores: np.ndarray):
-    _, grads = mlp_backward(unary.mlp, cache, dscores)
-    return grads
+def unary_forward(mlp: Mlp, graph) -> tuple[np.ndarray, MlpCache]:
+    """Per-node score vectors from the pooled node features."""
+    return mlp_forward(mlp, graph.features)
 
 
 @dataclass
@@ -252,13 +241,13 @@ def pairwise_backward(
 class Model:
     """Unary scorer + pairwise kernel net."""
 
-    unary: UnaryNet
+    unary: Mlp  # pooled node features -> per-node scores
     pairwise: PairwiseNet
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Named views of every trainable array (mutating them updates the model)."""
         params: dict[str, np.ndarray] = {}
-        for prefix, mlp in (("unary", self.unary.mlp), ("pair", self.pairwise.embed)):
+        for prefix, mlp in (("unary", self.unary), ("pair", self.pairwise.embed)):
             for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
                 params[f"{prefix}.w{i}"] = w
                 params[f"{prefix}.b{i}"] = b
@@ -266,7 +255,7 @@ class Model:
         return params
 
     def output_dim(self) -> int:
-        return self.unary.mlp.output_dim
+        return self.unary.output_dim
 
 
 def build_model(
@@ -280,7 +269,7 @@ def build_model(
 ) -> Model:
     """Fresh model with beta = 1; the unary net is drawn first, then the
     embedding net."""
-    unary = UnaryNet(Mlp.create(rng, [feature_dim, *hidden_dims, output_dim]))
+    unary = Mlp.create(rng, [feature_dim, *hidden_dims, output_dim])
     embed = Mlp.create(rng, [feature_dim, *embed_hidden_dims, embed_dim])
     beta_raw = np.array(softplus_inverse(1.0), dtype=np.float64)
     return Model(unary, PairwiseNet(embed, beta_raw, float(gamma)))
@@ -332,6 +321,8 @@ def load_checkpoint(path) -> Model:
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, size))
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, size))
             data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape), size), dtype="<f8")
+            if not np.isfinite(data).all():
+                raise ValueError(f"checkpoint tensor '{name}' is not finite")
             tensors[name] = data.reshape(shape).astype(np.float64)
 
     def collect(prefix: str) -> Mlp:
@@ -363,4 +354,4 @@ def load_checkpoint(path) -> Model:
         np.array(float(tensors["pair.beta_raw"]), dtype=np.float64),
         float(tensors["pair.gamma"]),
     )
-    return Model(UnaryNet(collect("unary")), pairwise)
+    return Model(collect("unary"), pairwise)

@@ -176,7 +176,7 @@ def forward_loss(
 
     params = model.parameters()
     grads = {name: np.zeros_like(value) for name, value in params.items()}
-    _, unary_grads = mlp_backward(model.unary.mlp, unary_cache, dscores)
+    _, unary_grads = mlp_backward(model.unary, unary_cache, dscores)
     for i, (dw, db) in enumerate(unary_grads):
         grads[f"unary.w{i}"] = dw
         grads[f"unary.b{i}"] = db

@@ -3,7 +3,7 @@
 import numpy as np
 from scipy import ndimage
 
-from ccrf import NodeGraph, assemble, mlp_backward
+from ccrf import NodeGraph, SuperpixelSegmentation, assemble, mlp_backward
 from ccrf.networks import sigmoid
 
 
@@ -48,6 +48,16 @@ def random_graph(rng, n, feature_dim=4):
         rng.normal(size=(n, feature_dim)),
         rng.uniform(0.0, 1.0, size=(n, 2)),
     )
+
+
+def voronoi_segment(image, count, seed=0):
+    """Irregular nodes: each pixel joins the nearest of ``count`` seeded
+    random points (ties to the lowest), relabelled to 0..n-1, n <= count."""
+    points = np.random.default_rng(seed).uniform(0, [image.height, image.width], (count, 2))
+    rows, cols = np.indices((image.height, image.width))
+    d2 = (rows[..., None] - points[:, 0]) ** 2 + (cols[..., None] - points[:, 1]) ** 2
+    owners, label_map = np.unique(d2.argmin(axis=2), return_inverse=True)
+    return SuperpixelSegmentation(label_map.reshape(image.height, image.width), len(owners))
 
 
 def connectivity_violations(seg):

@@ -35,10 +35,10 @@ from ccrf import (
 )
 from ccrf.cli import main as cli_main
 from ccrf.networks import (
+    mlp_backward,
     mlp_forward,
     pairwise_backward,
     pairwise_forward,
-    unary_backward,
     unary_forward,
 )
 
@@ -195,7 +195,7 @@ def _check_network_grads(rng, step):
 
     w = rng.standard_normal((n, m))
     _, cache = unary_forward(model.unary, graph)
-    grads = unary_backward(model.unary, cache, w)
+    _, grads = mlp_backward(model.unary, cache, w)
     analytic = [g for pair in grads for g in pair]
 
     def unary_loss():
@@ -231,7 +231,7 @@ def _check_network_grads(rng, step):
 def _rectifier_margin(model, graph):
     """Smallest |pre-activation| either network sees on this graph."""
     margin = np.inf
-    for mlp in (model.unary.mlp, model.pairwise.embed):
+    for mlp in (model.unary, model.pairwise.embed):
         _, cache = mlp_forward(mlp, graph.features)
         for pre in cache.preacts[:-1]:  # final layer is affine, no kink
             if pre.size:

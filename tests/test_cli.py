@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from ccrf import (
+    Dataset,
+    ImageGrid,
+    LabeledExample,
     LossSpec,
     SyntheticSceneSpec,
     TrainConfig,
@@ -14,6 +17,7 @@ from ccrf import (
     cli,
     load_checkpoint,
     load_dataset,
+    pool_features,
     read_f32grid,
     save_checkpoint,
     save_dataset,
@@ -22,6 +26,8 @@ from ccrf import (
 )
 from ccrf.cli import parse_config
 from ccrf.cli import train_config as config_from_mapping
+
+from helpers import voronoi_segment
 
 
 def write_config(path, **kv):
@@ -423,6 +429,18 @@ class TestEval:
         assert code == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["unary.w0", "pair.b0", "pair.beta_raw"])
+    def test_nonfinite_checkpoint_tensor_is_a_data_error(self, tmp_path, capsys, name, value):
+        data = synth_into(tmp_path, seg_config(tmp_path))
+        ckpt = tmp_path / "nonfinite.ccrf"
+        model = build_model(np.random.default_rng(0), 10, 3)
+        model.parameters()[name].flat[0] = value
+        save_checkpoint(ckpt, model)
+        code = cli.main(["eval", "--ckpt", str(ckpt), "--data", data, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert name in capsys.readouterr().err
+
     def test_unpaired_checkpoint_layer_is_a_data_error(self, tmp_path, capsys):
         data = synth_into(tmp_path, seg_config(tmp_path))
         ckpt = tmp_path / "unpaired.ccrf"
@@ -462,6 +480,39 @@ class TestEval:
         assert code == 2
 
 
+class TestIrregularNodes:
+    """A dataset directory may carry any segmentation, not only grid tiles."""
+
+    @staticmethod
+    def voronoi_depth_examples(counts, seed):
+        rng = np.random.default_rng(seed)
+        examples = []
+        for i, count in enumerate(counts):
+            image = ImageGrid(rng.uniform(0.0, 1.0, (24, 24)))
+            seg = voronoi_segment(image, count, seed=seed + i)
+            depth = 1.0 + 4.0 * pool_features(image.values, seg)
+            examples.append(LabeledExample(image, seg, depth, "depth"))
+        return examples
+
+    def test_variable_node_counts_train_and_eval(self, tmp_path):
+        train = self.voronoi_depth_examples((8, 11, 9, 13), seed=10)
+        val = self.voronoi_depth_examples((10, 12), seed=20)
+        test = self.voronoi_depth_examples((15, 7), seed=30)
+        assert len({ex.seg.n for ex in train + val + test}) > 1
+        data = str(tmp_path / "data")
+        save_dataset(Dataset("depth", train, val, test), data)
+
+        cfg = depth_config(tmp_path)  # tukey loss, 2 epochs
+        out = str(tmp_path / "runs")
+        assert cli.main(["train", "--config", cfg, "--data", data, "--out", out]) == 0
+        ckpt = os.path.join(only_run_dir(out, "train"), "checkpoint.ccrf")
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", data, "--out", out]) == 0
+        table = open(os.path.join(only_run_dir(out, "eval"), "metrics.csv")).read().splitlines()
+        assert [row.split(",")[0] for row in table[1:]] == ["unary", "full"]
+        values = [float(v) for row in table[1:] for v in row.split(",")[1:]]
+        assert np.isfinite(values).all()
+
+
 class TestAblate:
     def test_segmentation_sweep(self, tmp_path, capsys):
         cfg = seg_config(tmp_path, ablate_classes="2,3", epochs=1, warmup_epochs=0)
@@ -491,6 +542,21 @@ class TestAblate:
         for stem in ("delta_vs_noise", "delta_vs_outliers"):
             svg = open(os.path.join(run_dir, f"{stem}.svg")).read()
             assert svg.startswith("<svg") and "loglik" in svg and "tukey" in svg
+
+    def test_bad_class_count_fails_before_any_training(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real_train = cli.train
+
+        def counting_train(*args):
+            calls.append(args)
+            return real_train(*args)
+
+        monkeypatch.setattr(cli, "train", counting_train)
+        cfg = seg_config(tmp_path, ablate_classes="3,1", epochs=1, warmup_epochs=0)
+        assert cli.main(["ablate", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
+        assert calls == []
+        assert not (tmp_path / "runs").exists()
+        assert "need at least two classes, got 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "bad", [{"noise_sigma": "-1"}, {"noise_sigma": "nan"}, {"outlier_magnitude": "nan"}]

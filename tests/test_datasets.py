@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from ccrf import (
     LabeledExample,
     SyntheticSceneSpec,
     load_dataset,
+    read_f32grid,
     save_dataset,
     synth_dataset,
+    write_f32grid,
 )
 from ccrf.datasets import read_manifest, write_manifest
 
@@ -114,6 +118,19 @@ class TestManifestFormat:
         path.write_text("task=depth\nonly_two.f32grid entries.f32grid\n")
         with pytest.raises(ValueError):
             read_manifest(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e30, 0.4, -0.4])
+    def test_read_rejects_a_seg_value_that_is_no_node_index(self, tmp_path, value):
+        ds = small_dataset(count=2)
+        write_manifest(tmp_path, "train", ds.task, ds.train)
+        seg_path = tmp_path / "train_0000_seg.f32grid"
+        seg = read_f32grid(seg_path)
+        seg[0, 0] = value
+        write_f32grid(seg_path, seg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="whole numbers"):
+                read_manifest(tmp_path / "train.manifest")
 
     def test_write_then_read_relative_paths(self, tmp_path):
         ds = small_dataset(count=2)

@@ -9,10 +9,14 @@ from ccrf import (
     compute_pixel_features,
     grid_segment,
     pool_features,
-    slic_segment,
 )
 
-from helpers import connectivity_violations, reference_centroids, reference_pool_features
+from helpers import (
+    connectivity_violations,
+    reference_centroids,
+    reference_pool_features,
+    voronoi_segment,
+)
 
 
 def constant_image(height=16, width=16, value=0.5, channels=1):
@@ -89,53 +93,6 @@ class TestGridSegment:
             grid_segment(img, 0)
         with pytest.raises(ValueError):
             grid_segment(img, 65)
-
-
-class TestSlicSegment:
-    def test_uniform_image_near_square_cells(self):
-        seg = slic_segment(constant_image(60, 60), 36, compactness=10.0)
-        assert 0.8 * 36 <= seg.n <= 1.2 * 36
-        for lab in range(seg.n):
-            rows, cols = np.nonzero(seg.label_map == lab)
-            h = rows.max() - rows.min() + 1
-            w = cols.max() - cols.min() + 1
-            assert 0.5 <= h / w <= 2.0
-
-    def test_two_color_split_follows_color_edge(self):
-        # low compactness: color dominates, boundary lands within one pixel
-        values = np.full((60, 60), 0.1)
-        values[:, 30:] = 0.9
-        seg = slic_segment(ImageGrid(values), 2, compactness=1e-3)
-        assert seg.n == 2
-        left = np.unique(seg.label_map[:, :29])
-        right = np.unique(seg.label_map[:, 31:])
-        assert len(left) == 1 and len(right) == 1
-        assert left[0] != right[0]
-
-    def test_connectivity_enforced(self):
-        rng = np.random.default_rng(11)
-        img = ImageGrid(rng.uniform(0, 1, (48, 48, 3)))
-        seg = slic_segment(img, 25, compactness=5.0)
-        assert connectivity_violations(seg) == []
-        assert seg.counts.min() >= 1
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(7)
-        values = rng.uniform(0, 1, (40, 40, 3))
-        a = slic_segment(ImageGrid(values), 16)
-        b = slic_segment(ImageGrid(values), 16)
-        assert np.array_equal(a.label_map, b.label_map)
-
-    def test_rejects_bad_arguments(self):
-        img = constant_image(8, 8)
-        with pytest.raises(ValueError):
-            slic_segment(img, 65)
-        with pytest.raises(ValueError):
-            slic_segment(img, 1)
-        with pytest.raises(ValueError):
-            slic_segment(img, 4, compactness=0.0)
-        with pytest.raises(ValueError):
-            slic_segment(img, 4, max_iters=0)
 
 
 class TestPixelFeatures:
@@ -236,7 +193,7 @@ class TestCentroids:
 class TestReductionOracles:
     """Pooling and centroids equal the scatter oracles bit for bit."""
 
-    @pytest.mark.parametrize("segment", [grid_segment, slic_segment])
+    @pytest.mark.parametrize("segment", [grid_segment, voronoi_segment])
     @pytest.mark.parametrize("shape", [(33, 47, 1), (33, 47, 3), (40, 40, 3)])
     def test_pooling_and_centroids_match_oracles(self, segment, shape):
         rng = np.random.default_rng(shape[1] + shape[2])
@@ -249,5 +206,5 @@ class TestReductionOracles:
         assert np.array_equal(graph.features, reference_pool_features(feats, seg))
 
     def test_counts_match_a_recount(self):
-        seg = slic_segment(ImageGrid(np.random.default_rng(1).uniform(0, 1, (33, 47))), 15)
+        seg = voronoi_segment(ImageGrid(np.random.default_rng(1).uniform(0, 1, (33, 47))), 15)
         assert np.array_equal(seg.counts, np.bincount(seg.label_map.ravel()))

@@ -19,7 +19,6 @@ from ccrf import (
     save_checkpoint,
     softplus,
     softplus_inverse,
-    unary_backward,
     unary_forward,
 )
 from ccrf.crf import Workspace
@@ -172,7 +171,7 @@ class TestUnaryNet:
 
         scores, cache = unary_forward(model.unary, graph)
         assert scores.shape == (5, 3)
-        grads = unary_backward(model.unary, cache, proj)
+        _, grads = mlp_backward(model.unary, cache, proj)
 
         def loss():
             s, _ = unary_forward(model.unary, graph)
@@ -180,7 +179,7 @@ class TestUnaryNet:
 
         fd = [
             (central_diff(loss, w), central_diff(loss, b))
-            for w, b in zip(model.unary.mlp.weights, model.unary.mlp.biases)
+            for w, b in zip(model.unary.weights, model.unary.biases)
         ]
         analytic = [g for pair in grads for g in pair]
         numeric = [g for pair in fd for g in pair]
@@ -371,7 +370,7 @@ class TestModel:
         model = build_model(rng, feature_dim=4, output_dim=2)
         params = model.parameters()
         params["unary.w0"][0, 0] += 1.0
-        assert model.unary.mlp.weights[0][0, 0] == params["unary.w0"][0, 0]
+        assert model.unary.weights[0][0, 0] == params["unary.w0"][0, 0]
 
     def test_parameter_names(self):
         rng = np.random.default_rng(0)

@@ -241,7 +241,7 @@ class TestDirectionalDerivative:
     def rectifier_signs(model, graph):
         return [
             pre > 0.0
-            for mlp in (model.unary.mlp, model.pairwise.embed)
+            for mlp in (model.unary, model.pairwise.embed)
             for pre in mlp_forward(mlp, graph.features)[1].preacts[:-1]
         ]
 
