@@ -16,7 +16,9 @@ factorization yields the exact negative log-density
 
 and closed-form reverse-mode rules for both the likelihood and the
 inference map.  Label dimensions never mix: every operation works on the
-n x n system blockwise, one solve per score column.
+n x n system blockwise, one solve per score column.  R, a Gaussian
+kernel, is built and differentiated here too: this module owns every
+n x n array of the field.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dsymv, dsyr2k, dtrmm
+from scipy.linalg.blas import dgemm, dsymm, dsymv, dsyr2k, dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 _SYMMETRY_TOL = 1e-12
 # columns per panel when a one-triangle result is mirrored into a full matrix
 _MIRROR_PANEL = 256
+# kernel exponents below this are flushed to exactly zero
+_EXP_FLOOR = -60.0
 
 
 class NonFiniteAffinityError(ValueError):
@@ -48,9 +52,9 @@ class Workspace:
     valid only until the next call that writes the same name: "kernel"
     (the negated squared distances, then the Gaussian kernel), "a0" (A0,
     factored in place) and "affinity" (the flush mask, then R, then
-    dL/dR, then the kernel-weighted gradient).  Passed back with the same
-    workspace, its own "affinity" is trusted without the full-matrix
-    checks that any other matrix gets.
+    dL/dR, then the kernel-weighted gradient).  Passed back to
+    ``assemble`` with the same workspace, its own "affinity" is trusted
+    without the full-matrix checks that any other matrix gets.
     """
 
     def __init__(self):
@@ -72,19 +76,19 @@ def square(work: Workspace | None, name: str, n: int) -> np.ndarray:
     return np.empty((n, n), order="F") if work is None else work.get(name, n)
 
 
-def symmetric_product(
-    left: np.ndarray, right: np.ndarray, out: np.ndarray, beta: float = 0.0
-) -> np.ndarray:
-    """The lower triangle of left right' + right left' + beta out, in ``out``.
+def _outer_sum(a, b, d, out: np.ndarray, beta: float = 0.0) -> np.ndarray:
+    """The lower triangle of a b' + b a' + d 1' + 1 d' + beta out, in ``out``.
 
-    One dsyr2k, which reads and writes only the lower triangle of the
-    F-ordered ``out``.  ``left`` and ``right`` are C-ordered (n, k), passed
-    as their F-ordered transposes, so f2py copies nothing.  numpy and
-    scipy each bundle their own OpenBLAS thread pool; running every n x n
-    product on scipy's, the one that factors A0, keeps the two pools from
-    contending.  Returns dsyr2k's result, ``out`` itself unless f2py had
-    to copy it.
+    One dsyr2k on the stacked [a, d] and [b, 1], which reads and writes
+    only the lower triangle of the F-ordered ``out``.  The stacks are
+    C-ordered (n, k + 1), passed as their F-ordered transposes, so f2py
+    copies nothing.  numpy and scipy each bundle their own OpenBLAS thread
+    pool; running every n x n product on scipy's, the one that factors A0,
+    keeps the two pools from contending.  Returns dsyr2k's result, ``out``
+    itself unless f2py had to copy it.
     """
+    left = np.column_stack([a, d])
+    right = np.column_stack([b, np.ones(len(d))])
     return dsyr2k(1.0, left.T, right.T, beta=beta, c=out, trans=1, lower=1, overwrite_c=1)
 
 
@@ -107,6 +111,70 @@ def symmetric_result(x: np.ndarray, work: Workspace | None) -> np.ndarray:
         block = np.tril(x[lo:hi, lo:hi], -1)
         x[lo:hi, lo:hi] = block + block.T
     return x
+
+
+def _negated_squared_distances(points: np.ndarray, work: Workspace | None) -> np.ndarray:
+    # P P' + P P' - |P|^2 1' - 1 |P|^2' is 2 <p, q> - |p|^2 - |q|^2
+    n = len(points)
+    x = _outer_sum(points, points, -(points * points).sum(axis=1), square(work, "kernel", n))
+    return symmetric_result(x, work)
+
+
+def _flush_exp(exponent: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """exp of the nonpositive ``exponent`` in place, zero below ``_EXP_FLOOR``.
+
+    Equal bit for bit to ``np.where(exponent < _EXP_FLOOR, 0, exp(exponent))``,
+    NaN staying NaN, but exp never sees the -inf that would take its slow
+    path: it runs on the exponent clamped at the floor, and the mask
+    ``exponent >= _EXP_FLOOR``, written into the float array ``mask``,
+    zeroes the flushed entries afterwards.
+    """
+    np.greater_equal(exponent, _EXP_FLOOR, out=mask)
+    # cancellation can leave a squared distance's negation above 0
+    np.clip(exponent, _EXP_FLOOR, 0.0, out=exponent)
+    np.exp(exponent, out=exponent)
+    return np.multiply(exponent, mask, out=exponent)
+
+
+def gaussian_affinity(points: np.ndarray, beta: float, *, work: Workspace | None = None):
+    """(R, R / beta) with R[p, q] = beta exp(-||x_p - x_q||^2), x the rows
+    of ``points``: symmetric, nonnegative, zero diagonal.
+
+    Exponents below ``_EXP_FLOOR`` flush to zero, but a NaN point or scale
+    propagates into R, so a broken field cannot pass as a zero one.  With
+    ``work``, both are its arrays, exact in the lower triangle only;
+    without, both are full, exactly symmetric matrices.
+    """
+    kernel = _negated_squared_distances(points, work)
+    affinity = square(work, "affinity", len(kernel))
+    _flush_exp(kernel, affinity)
+    np.fill_diagonal(kernel, 0.0)
+    np.multiply(beta, kernel, out=affinity)
+    return affinity, kernel
+
+
+def gaussian_backward(
+    kernel, daffinity, embeddings, beta: float, *, work: Workspace | None = None
+):
+    """Chain dL/dR back to (dL/d embeddings, dL/d beta).
+
+    ``kernel`` and ``beta`` are ``gaussian_affinity``'s, ``embeddings``
+    the leading columns of its points; the rest carry no parameters.
+    ``daffinity``, the sensitivity to each symmetric entry pair of R, is
+    read from its lower triangle, be it ``work``'s own "affinity" or a
+    caller's matrix.  Each unordered pair contributes once, via
+    d R[p,q] / d s_p = -2 R[p,q] (s_p - s_q) and d R[p,q] / d beta =
+    kernel[p,q].  With ``work``, the weighted gradient overwrites its
+    "affinity".
+    """
+    n = len(kernel)
+    weighted = np.multiply(daffinity, kernel, out=square(work, "affinity", n))
+    # row sums and (weighted s)' = s' weighted read only the lower
+    # triangle; s' is an F-ordered view, so f2py copies nothing
+    rows = dsymv(1.0, weighted, np.ones(n), lower=1)
+    smoothed = dsymm(1.0, weighted, embeddings.T, side=1, lower=1).T
+    dembeddings = (-2.0 * beta) * (rows[:, None] * embeddings - smoothed)
+    return dembeddings, 0.5 * float(rows.sum())
 
 
 @dataclass
@@ -161,7 +229,7 @@ def assemble(affinity: np.ndarray, *, work: Workspace | None = None) -> Precisio
     diagonal; anything else is rejected, a NaN or infinite entry with
     ``NonFiniteAffinityError``.  Asymmetry and diagonal entries within
     rounding tolerance are cleaned away.  ``work``'s own affinity, as
-    ``pairwise_forward`` leaves it, is built that way and exact in its
+    ``gaussian_affinity`` leaves it, is built that way and exact in its
     lower triangle, so only its finiteness is checked, through its row
     sums.  Factorization failure would contradict the
     positive-definiteness guarantee and is surfaced as a hard internal
@@ -290,17 +358,6 @@ def unary_nll(scores: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarra
     return _gaussian_nll(np.asfortranarray(y - z), 0.0), 2.0 * (z - y)
 
 
-def symmetrize(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """x + x' written into ``out``, with a zero diagonal.
-
-    An entry plus its mirror is the same float both ways round, so the
-    result is exactly symmetric.
-    """
-    np.add(x, x.T, out=out)
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
 def nll_backward(
     system: PrecisionSystem,
     scores: np.ndarray,
@@ -329,11 +386,9 @@ def nll_backward(
     if info != 0:  # unreachable: the factor came from a successful potrf
         raise RuntimeError(f"potri failed with info {info}")
     diag = (y * y).sum(axis=1) - (w * w).sum(axis=1) - 0.5 * m * np.diagonal(x)
-    # m A0^-1 + [y, w, diag] [-y, w, 1]' + [-y, w, 1] [y, w, diag]'
+    # m A0^-1 + [y, w] [-y, w]' + [-y, w] [y, w]' + diag_p + diag_q
     # = -2 dA0 + diag_p + diag_q
-    left = np.hstack([y, w, diag[:, None]])
-    right = np.hstack([-y, w, np.ones((n, 1))])
-    x = symmetric_product(left, right, x, beta=float(m))
+    x = _outer_sum(np.hstack([y, w]), np.hstack([-y, w]), diag, x, beta=float(m))
     return dscores, symmetric_result(x, work)
 
 
@@ -353,13 +408,8 @@ def map_backward(
     """
     y = _check_scores(system, labelling, "labelling")
     g = system.solve(_check_scores(system, dlabelling, "dlabelling"))
-    # dA0 is the symmetric part of -g y'; [g, diag] [y, 1]' plus its
-    # transpose is g y' + y g' + diag_p + diag_q = -2 dA0 + diag_p + diag_q
-    n = system.n
+    # dA0 is the symmetric part of -g y', and
+    # g y' + y g' + diag_p + diag_q = -2 dA0 + diag_p + diag_q
     diag = -(g * y).sum(axis=1)
-    x = symmetric_product(
-        np.hstack([g, diag[:, None]]),
-        np.hstack([y, np.ones((n, 1))]),
-        square(work, "affinity", n),
-    )
+    x = _outer_sum(g, y, diag, square(work, "affinity", system.n))
     return g, symmetric_result(x, work)

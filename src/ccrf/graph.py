@@ -44,10 +44,6 @@ class ImageGrid:
     def width(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def channels(self) -> int:
-        return self.values.shape[2]
-
 
 @dataclass
 class SuperpixelSegmentation:

@@ -8,8 +8,9 @@ feed a Gaussian similarity kernel
 
 over node embeddings s and normalized centroids l, with zero diagonal.
 ``beta = softplus(beta_raw)`` keeps the kernel scale positive; ``gamma``
-is a fixed hyperparameter.  All forward passes cache what their exact
-reverse-mode backward passes need.
+is a fixed hyperparameter.  The kernel's n x n arrays are ``crf``'s, which
+builds and differentiates them.  All forward passes cache what their
+exact reverse-mode backward passes need.
 """
 
 from __future__ import annotations
@@ -20,15 +21,11 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsymm, dsymv
 
-from .crf import Workspace, square, symmetric_product, symmetric_result, symmetrize
+from .crf import Workspace, gaussian_affinity, gaussian_backward
 from .gridio import atomic_open
 
 CHECKPOINT_MAGIC = b"CCRF1"
-
-# kernel exponents below this are flushed to exactly zero
-_EXP_FLOOR = -60.0
 
 
 def softplus(x):
@@ -63,10 +60,6 @@ class Mlp:
             weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
             biases.append(np.zeros(fan_out))
         return cls(weights, biases)
-
-    @property
-    def layer_dims(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
     @property
     def input_dim(self) -> int:
@@ -153,54 +146,15 @@ class PairwiseCache:
     mlp_cache: MlpCache
 
 
-def _negated_squared_distances(points: np.ndarray, work: Workspace | None) -> np.ndarray:
-    # [P, -|P|^2] [P, 1]' plus its transpose is 2 <p, q> - |p|^2 - |q|^2
-    n = len(points)
-    x = symmetric_product(
-        np.hstack([points, -(points * points).sum(axis=1)[:, None]]),
-        np.hstack([points, np.ones((n, 1))]),
-        square(work, "kernel", n),
-    )
-    return symmetric_result(x, work)
-
-
-def _flush_exp(exponent: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """exp of the nonpositive ``exponent`` in place, zero below ``_EXP_FLOOR``.
-
-    Equal bit for bit to ``np.where(exponent < _EXP_FLOOR, 0, exp(exponent))``,
-    NaN staying NaN, but exp never sees the -inf that would take its slow
-    path: it runs on the exponent clamped at the floor, and the mask
-    ``exponent >= _EXP_FLOOR``, written into the float array ``mask``,
-    zeroes the flushed entries afterwards.
-    """
-    np.greater_equal(exponent, _EXP_FLOOR, out=mask)
-    # cancellation can leave a squared distance's negation above 0
-    np.clip(exponent, _EXP_FLOOR, 0.0, out=exponent)
-    np.exp(exponent, out=exponent)
-    return np.multiply(exponent, mask, out=exponent)
-
-
 def pairwise_forward(
     pair: PairwiseNet, graph, *, work: Workspace | None = None
 ) -> tuple[np.ndarray, PairwiseCache]:
-    """Affinity matrix R (n, n): symmetric, nonnegative, zero diagonal.
-
-    The exponent is one negated squared distance between the stacked
-    points [s, sqrt(gamma) l].  A NaN embedding or scale propagates into
-    R rather than being flushed, so a broken field cannot pass as a
-    zero one.  With ``work``, R and the cached kernel live in the lower
-    triangles of its arrays; without, both are full matrices.
-    """
+    """Affinity matrix R (n, n): ``crf.gaussian_affinity`` over the
+    stacked points [s, sqrt(gamma) l], lower triangle only with ``work``."""
     embeddings, mlp_cache = mlp_forward(pair.embed, graph.features)
-    kernel = _negated_squared_distances(
-        np.hstack([embeddings, np.sqrt(pair.gamma) * graph.centroids]), work
-    )
-    n = len(kernel)
-    affinity = square(work, "affinity", n)
-    _flush_exp(kernel, affinity)
-    np.fill_diagonal(kernel, 0.0)
     beta = pair.beta
-    np.multiply(beta, kernel, out=affinity)
+    points = np.hstack([embeddings, np.sqrt(pair.gamma) * graph.centroids])
+    affinity, kernel = gaussian_affinity(points, beta, work=work)
     return affinity, PairwiseCache(embeddings, kernel, beta, mlp_cache)
 
 
@@ -211,30 +165,13 @@ def pairwise_backward(
     *,
     work: Workspace | None = None,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
-    """Chain an affinity gradient back to (embedding grads, d beta_raw).
-
-    ``daffinity`` holds the sensitivity of the loss to each symmetric
-    entry pair of R, and its diagonal is ignored.  ``work``'s own
-    "affinity", as ``map_backward`` and ``nll_backward`` leave it, is read
-    from its lower triangle; any other matrix is symmetrized first.  Each
-    unordered pair contributes once, via d R[p,q] / d s_p =
-    -2 R[p,q] (s_p - s_q) and d R[p,q] / d beta = kernel[p,q].
-    """
-    n = len(daffinity)
-    weighted = square(work, "affinity", n)
-    if weighted is not daffinity:
-        symmetrize(daffinity, weighted)
-        weighted *= 0.5
-    weighted *= cache.kernel
-    # row sums and (weighted s)' = s' weighted read only the lower
-    # triangle; s' is an F-ordered view, so f2py copies nothing
-    rows = dsymv(1.0, weighted, np.ones(n), lower=1)
-    dbeta = 0.5 * float(rows.sum())
-    dbeta_raw = dbeta * float(sigmoid(pair.beta_raw))
-    smoothed = dsymm(1.0, weighted, cache.embeddings.T, side=1, lower=1).T
-    dembed = (-2.0 * cache.beta) * (rows[:, None] * cache.embeddings - smoothed)
+    """Chain an affinity gradient, read from its lower triangle, back to
+    (embedding grads, d beta_raw) through ``crf.gaussian_backward``."""
+    dembed, dbeta = gaussian_backward(
+        cache.kernel, daffinity, cache.embeddings, cache.beta, work=work
+    )
     _, embed_grads = mlp_backward(pair.embed, cache.mlp_cache, dembed)
-    return embed_grads, dbeta_raw
+    return embed_grads, dbeta * float(sigmoid(pair.beta_raw))
 
 
 @dataclass
@@ -253,9 +190,6 @@ class Model:
                 params[f"{prefix}.b{i}"] = b
         params["pair.beta_raw"] = self.pairwise.beta_raw
         return params
-
-    def output_dim(self) -> int:
-        return self.unary.output_dim
 
 
 def build_model(

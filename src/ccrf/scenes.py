@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datasets import Dataset, LabeledExample
+from .datasets import TASKS, Dataset, LabeledExample
 from .graph import ImageGrid, grid_segment, pool_features
 
 _CORRUPTION_KINDS = ("gaussian_noise", "outlier")
@@ -33,7 +33,7 @@ class SyntheticSceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.task not in ("segmentation", "depth"):
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.size < 32:
             raise ValueError(f"scene size must be at least 32, got {self.size}")

@@ -200,23 +200,17 @@ def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
 
 
-def sgd_step(params, grads, velocity, config: TrainConfig, norm: float | None = None):
-    """v <- momentum v - lr g; theta <- theta + v, with optional norm clip.
-
-    ``norm`` is the gradients' global norm when the caller already has it.
-    """
-    if config.clip_norm is not None:
-        if norm is None:
-            norm = global_grad_norm(grads)
-        if norm > config.clip_norm:
-            scale = config.clip_norm / norm
-            grads = {name: g * scale for name, g in grads.items()}
+def sgd_step(params, grads, velocity, config: TrainConfig, norm: float) -> None:
+    """v <- momentum v - lr g; theta <- theta + v, in place, with optional
+    clip of ``norm``, the gradients' global norm."""
+    if config.clip_norm is not None and norm > config.clip_norm:
+        scale = config.clip_norm / norm
+        grads = {name: g * scale for name, g in grads.items()}
     for name, value in params.items():
         v = velocity[name]
         v *= config.momentum
         v -= config.lr * grads[name]
         value += v
-    return params, velocity
 
 
 @dataclass
@@ -287,9 +281,9 @@ def evaluate(
     """
     if not examples:
         raise ValueError("nothing to evaluate")
-    if task == "segmentation" and model.output_dim() < 2:
+    if task == "segmentation" and model.unary.output_dim < 2:
         raise ValueError("model emits a single score column, not class scores")
-    if task == "depth" and model.output_dim() != 1:
+    if task == "depth" and model.unary.output_dim != 1:
         raise ValueError("depth evaluation needs a single-column model")
     pred, true, w = _predictions(model, examples, task, unary_only, work)
     if task == "segmentation":

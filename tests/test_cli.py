@@ -242,7 +242,7 @@ class TestTrain:
         run_dir = only_run_dir(out, "train")
 
         model = load_checkpoint(os.path.join(run_dir, "checkpoint.ccrf"))
-        assert model.output_dim() == 3
+        assert model.unary.output_dim == 3
         history = open(os.path.join(run_dir, "history.csv")).read().splitlines()
         assert history[0] == "epoch,loss,metric,beta,grad_norm"
         assert len(history) == 3  # header + 2 epochs

@@ -9,7 +9,7 @@ from ccrf import (
     nll,
     nll_backward,
 )
-from ccrf.crf import NonFiniteAffinityError, Workspace, symmetric_product, unary_nll
+from ccrf.crf import NonFiniteAffinityError, Workspace, _outer_sum, unary_nll
 
 from helpers import (
     central_diff,
@@ -330,13 +330,14 @@ class TestBlasProducts:
     # n = 300 is above OpenBLAS's threading threshold
     N = 300
 
-    def test_symmetric_product_writes_into_its_output(self):
+    def test_outer_sum_writes_into_its_output(self):
         rng = np.random.default_rng(41)
-        left, right = rng.standard_normal((2, self.N, 9))
+        a, b = rng.standard_normal((2, self.N, 9))
+        d = rng.standard_normal(self.N)
         out = Workspace().get("affinity", self.N)
-        x = symmetric_product(left, right, out)
+        x = _outer_sum(a, b, d, out)
         assert np.shares_memory(x, out)
-        ref = left @ right.T + right @ left.T
+        ref = a @ b.T + b @ a.T + d[:, None] + d[None, :]
         lower = np.tri(self.N, dtype=bool)
         assert np.abs(x - ref)[lower].max() <= 1e-12 * np.abs(ref).max()
 

@@ -21,15 +21,9 @@ from ccrf import (
     softplus_inverse,
     unary_forward,
 )
-from ccrf.crf import Workspace
+from ccrf.crf import _EXP_FLOOR, Workspace, _flush_exp, _negated_squared_distances
 from ccrf.graph import NodeGraph
-from ccrf.networks import (
-    _EXP_FLOOR,
-    _flush_exp,
-    _negated_squared_distances,
-    _write_tensor,
-    sigmoid,
-)
+from ccrf.networks import _write_tensor, sigmoid
 
 from helpers import (
     central_diff,
@@ -83,7 +77,7 @@ class TestMlpInit:
     def test_layer_dims(self):
         rng = np.random.default_rng(0)
         mlp = Mlp.create(rng, [5, 7, 3, 2])
-        assert mlp.layer_dims == [5, 7, 3, 2]
+        assert [w.shape for w in mlp.weights] == [(5, 7), (7, 3), (3, 2)]
         assert mlp.input_dim == 5
         assert mlp.output_dim == 2
 
@@ -363,6 +357,28 @@ class TestPairwiseBackwardLowerTriangle:
         plain = [g for pair in plain for g in pair] + [np.array([plain_dbeta_raw])]
         assert grad_rel_err(plain, reference) < 1e-10
 
+    @pytest.mark.parametrize("n", [5, 60, 300])
+    @pytest.mark.parametrize("with_work", [False, True])
+    def test_caller_matrix_upper_triangle_is_never_read(self, n, with_work):
+        rng = np.random.default_rng(600 + n)
+        net = PairwiseNet(Mlp.create(rng, [4, 8, 5]), np.asarray(0.3), 1.0)
+        graph = graph_of(rng.standard_normal((n, 4)), rng.uniform(0, 1, (n, 2)))
+        daff = rng.standard_normal((n, n))
+        daff = daff + daff.T
+        poisoned = daff.copy()
+        poisoned[np.triu_indices(n, 1)] = np.nan
+
+        def backward(matrix):
+            work = Workspace() if with_work else None
+            _, cache = pairwise_forward(net, graph, work=work)
+            grads, dbeta_raw = pairwise_backward(net, cache, matrix, work=work)
+            return b"".join(g.tobytes() for pair in grads for g in pair), dbeta_raw
+
+        expected_bytes, expected_dbeta_raw = backward(daff)
+        got_bytes, got_dbeta_raw = backward(poisoned)
+        assert got_bytes == expected_bytes
+        assert np.float64(got_dbeta_raw).tobytes() == np.float64(expected_dbeta_raw).tobytes()
+
 
 class TestModel:
     def test_parameters_are_views(self):
@@ -391,7 +407,7 @@ class TestModel:
     def test_output_dim(self):
         rng = np.random.default_rng(0)
         model = build_model(rng, feature_dim=4, output_dim=3)
-        assert model.output_dim() == 3
+        assert model.unary.output_dim == 3
 
 
 class TestCheckpoint:

@@ -294,11 +294,11 @@ class TestSgdStep:
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([2.0])}
         velocity = {"w": np.array([0.4])}
-        sgd_step(params, grads, velocity, cfg)
+        sgd_step(params, grads, velocity, cfg, global_grad_norm(grads))
         # v = 0.5*0.4 - 0.1*2 = 0; w = 1 + 0 = 1
         assert velocity["w"][0] == pytest.approx(0.0)
         assert params["w"][0] == pytest.approx(1.0)
-        sgd_step(params, grads, velocity, cfg)
+        sgd_step(params, grads, velocity, cfg, global_grad_norm(grads))
         # v = -0.2; w = 0.8
         assert params["w"][0] == pytest.approx(0.8)
 
@@ -307,24 +307,16 @@ class TestSgdStep:
         params = {"w": np.array([0.0, 0.0])}
         grads = {"w": np.array([3.0, 4.0])}  # norm 5 -> scaled to 1
         velocity = {"w": np.zeros(2)}
-        sgd_step(params, grads, velocity, cfg)
+        sgd_step(params, grads, velocity, cfg, global_grad_norm(grads))
         assert np.allclose(params["w"], [-0.6, -0.8])
 
     def test_small_gradients_not_rescaled(self):
         cfg = TrainConfig(lr=1.0, momentum=0.0, clip_norm=10.0)
         params = {"w": np.array([0.0])}
         velocity = {"w": np.zeros(1)}
-        sgd_step(params, {"w": np.array([0.5])}, velocity, cfg)
+        grads = {"w": np.array([0.5])}
+        sgd_step(params, grads, velocity, cfg, global_grad_norm(grads))
         assert params["w"][0] == pytest.approx(-0.5)
-
-    def test_given_norm_matches_computed_norm(self):
-        cfg = TrainConfig(lr=1.0, momentum=0.0, clip_norm=1.0)
-        grads = {"w": np.array([3.0, 4.0])}
-        given = {"w": np.zeros(2)}
-        computed = {"w": np.zeros(2)}
-        sgd_step(given, grads, {"w": np.zeros(2)}, cfg, global_grad_norm(grads))
-        sgd_step(computed, grads, {"w": np.zeros(2)}, cfg)
-        assert np.array_equal(given["w"], computed["w"])
 
     def test_global_grad_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
