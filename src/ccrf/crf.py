@@ -76,19 +76,31 @@ def square(work: Workspace | None, name: str, n: int) -> np.ndarray:
     return np.empty((n, n), order="F") if work is None else work.get(name, n)
 
 
-def _outer_sum(a, b, d, out: np.ndarray, beta: float = 0.0) -> np.ndarray:
-    """The lower triangle of a b' + b a' + d 1' + 1 d' + beta out, in ``out``.
+def _stacked(blocks, last) -> np.ndarray:
+    """The (n, k_i) ``blocks`` side by side, then the column ``last``, an
+    array or a scalar: one C-ordered (n, k + 1) array."""
+    widths = [block.shape[1] for block in blocks]
+    stack = np.empty((len(blocks[0]), sum(widths) + 1))
+    start = 0
+    for block, width in zip(blocks, widths):
+        stack[:, start : start + width] = block
+        start += width
+    stack[:, start] = last
+    return stack
 
-    One dsyr2k on the stacked [a, d] and [b, 1], which reads and writes
-    only the lower triangle of the F-ordered ``out``.  The stacks are
-    C-ordered (n, k + 1), passed as their F-ordered transposes, so f2py
-    copies nothing.  numpy and scipy each bundle their own OpenBLAS thread
-    pool; running every n x n product on scipy's, the one that factors A0,
+
+def _outer_sum(left, right, out: np.ndarray, beta: float = 0.0) -> np.ndarray:
+    """The lower triangle of L R' + R L' + beta out, in ``out``.
+
+    One dsyr2k, which reads and writes only the lower triangle of the
+    F-ordered ``out``.  The C-ordered (n, k) ``left`` and ``right`` are
+    passed as their F-ordered transposes, so f2py copies nothing; callers
+    stack [a, d] and [b, 1] with ``_stacked`` to get a b' + b a' + d 1' +
+    1 d'.  numpy and scipy each bundle their own OpenBLAS thread pool;
+    running every n x n product on scipy's, the one that factors A0,
     keeps the two pools from contending.  Returns dsyr2k's result, ``out``
     itself unless f2py had to copy it.
     """
-    left = np.column_stack([a, d])
-    right = np.column_stack([b, np.ones(len(d))])
     return dsyr2k(1.0, left.T, right.T, beta=beta, c=out, trans=1, lower=1, overwrite_c=1)
 
 
@@ -113,10 +125,14 @@ def symmetric_result(x: np.ndarray, work: Workspace | None) -> np.ndarray:
     return x
 
 
-def _negated_squared_distances(points: np.ndarray, work: Workspace | None) -> np.ndarray:
-    # P P' + P P' - |P|^2 1' - 1 |P|^2' is 2 <p, q> - |p|^2 - |q|^2
-    n = len(points)
-    x = _outer_sum(points, points, -(points * points).sum(axis=1), square(work, "kernel", n))
+def _negated_squared_distances(points, work: Workspace | None) -> np.ndarray:
+    # [P, d] [P, 1]' + [P, 1] [P, d]' with d = -|P|^2, the row norms of the
+    # stacked ``points`` blocks, is 2 <p, q> - |p|^2 - |q|^2
+    right = _stacked(points, 1.0)
+    left = right.copy()
+    p = right[:, :-1]
+    left[:, -1] = -(p * p).sum(axis=1)
+    x = _outer_sum(left, right, square(work, "kernel", len(left)))
     return symmetric_result(x, work)
 
 
@@ -136,9 +152,10 @@ def _flush_exp(exponent: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.multiply(exponent, mask, out=exponent)
 
 
-def gaussian_affinity(points: np.ndarray, beta: float, *, work: Workspace | None = None):
+def gaussian_affinity(points, beta: float, *, work: Workspace | None = None):
     """(R, R / beta) with R[p, q] = beta exp(-||x_p - x_q||^2), x the rows
-    of ``points``: symmetric, nonnegative, zero diagonal.
+    of the (n, k_i) ``points`` blocks side by side: symmetric, nonnegative,
+    zero diagonal.
 
     Exponents below ``_EXP_FLOOR`` flush to zero, but a NaN point or scale
     propagates into R, so a broken field cannot pass as a zero one.  With
@@ -159,7 +176,7 @@ def gaussian_backward(
     """Chain dL/dR back to (dL/d embeddings, dL/d beta).
 
     ``kernel`` and ``beta`` are ``gaussian_affinity``'s, ``embeddings``
-    the leading columns of its points; the rest carry no parameters.
+    the first of its points blocks; the rest carry no parameters.
     ``daffinity``, the sensitivity to each symmetric entry pair of R, is
     read from its lower triangle, be it ``work``'s own "affinity" or a
     caller's matrix.  Each unordered pair contributes once, via
@@ -388,7 +405,7 @@ def nll_backward(
     diag = (y * y).sum(axis=1) - (w * w).sum(axis=1) - 0.5 * m * np.diagonal(x)
     # m A0^-1 + [y, w] [-y, w]' + [-y, w] [y, w]' + diag_p + diag_q
     # = -2 dA0 + diag_p + diag_q
-    x = _outer_sum(np.hstack([y, w]), np.hstack([-y, w]), diag, x, beta=float(m))
+    x = _outer_sum(_stacked((y, w), diag), _stacked((-y, w), 1.0), x, beta=float(m))
     return dscores, symmetric_result(x, work)
 
 
@@ -411,5 +428,5 @@ def map_backward(
     # dA0 is the symmetric part of -g y', and
     # g y' + y g' + diag_p + diag_q = -2 dA0 + diag_p + diag_q
     diag = -(g * y).sum(axis=1)
-    x = _outer_sum(g, y, diag, square(work, "affinity", system.n))
+    x = _outer_sum(_stacked((g,), diag), _stacked((y,), 1.0), square(work, "affinity", system.n))
     return g, symmetric_result(x, work)

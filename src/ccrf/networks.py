@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,12 +93,13 @@ def mlp_forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
 
 
 def mlp_backward(
-    mlp: Mlp, cache: MlpCache, dout: np.ndarray
+    mlp: Mlp, cache: MlpCache, dout: np.ndarray, out=None
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Exact reverse-mode pass.
 
     Returns the gradient with respect to the input batch and a per-layer
-    list of (dW, db).  The rectifier subgradient at 0 is taken as 0.
+    list of (dW, db), written into the arrays of ``out``, a list of the
+    same shape, when given.  The rectifier subgradient at 0 is taken as 0.
     """
     grad = np.asarray(dout, dtype=np.float64)
     last = len(mlp.weights) - 1
@@ -106,10 +107,14 @@ def mlp_backward(
         raise ValueError(
             f"gradient shape {grad.shape} does not match output {cache.preacts[last].shape}"
         )
-    param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(mlp.weights)
+    param_grads = [(None, None)] * len(mlp.weights) if out is None else out
     for i in range(last, -1, -1):
         dpre = grad if i == last else grad * (cache.preacts[i] > 0.0)
-        param_grads[i] = (cache.inputs[i].T @ dpre, dpre.sum(axis=0))
+        dw, db = param_grads[i]
+        param_grads[i] = (
+            np.matmul(cache.inputs[i].T, dpre, out=dw),
+            np.add.reduce(dpre, axis=0, out=db),
+        )
         grad = dpre @ mlp.weights[i].T
     return grad, param_grads
 
@@ -150,10 +155,10 @@ def pairwise_forward(
     pair: PairwiseNet, graph, *, work: Workspace | None = None
 ) -> tuple[np.ndarray, PairwiseCache]:
     """Affinity matrix R (n, n): ``crf.gaussian_affinity`` over the
-    stacked points [s, sqrt(gamma) l], lower triangle only with ``work``."""
+    points [s, sqrt(gamma) l], lower triangle only with ``work``."""
     embeddings, mlp_cache = mlp_forward(pair.embed, graph.features)
     beta = pair.beta
-    points = np.hstack([embeddings, np.sqrt(pair.gamma) * graph.centroids])
+    points = (embeddings, np.sqrt(pair.gamma) * graph.centroids)
     affinity, kernel = gaussian_affinity(points, beta, work=work)
     return affinity, PairwiseCache(embeddings, kernel, beta, mlp_cache)
 
@@ -164,22 +169,45 @@ def pairwise_backward(
     daffinity: np.ndarray,
     *,
     work: Workspace | None = None,
+    out=None,
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
     """Chain an affinity gradient, read from its lower triangle, back to
-    (embedding grads, d beta_raw) through ``crf.gaussian_backward``."""
+    (embedding grads, d beta_raw) through ``crf.gaussian_backward``; the
+    embedding grads go into ``out`` as in ``mlp_backward``."""
     dembed, dbeta = gaussian_backward(
         cache.kernel, daffinity, cache.embeddings, cache.beta, work=work
     )
-    _, embed_grads = mlp_backward(pair.embed, cache.mlp_cache, dembed)
+    _, embed_grads = mlp_backward(pair.embed, cache.mlp_cache, dembed, out)
     return embed_grads, dbeta * float(sigmoid(pair.beta_raw))
 
 
 @dataclass
 class Model:
-    """Unary scorer + pairwise kernel net."""
+    """Unary scorer + pairwise kernel net.
+
+    Every trainable value lives in one float64 vector, ``flat``, in
+    ``parameters()`` order, the unary net's first.  Construction copies
+    the arrays it is given into it and rebinds each weight, bias and
+    ``beta_raw`` to its view, so one numpy call updates, checks or copies
+    them all.
+    """
 
     unary: Mlp  # pooled node features -> per-node scores
     pairwise: PairwiseNet
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        values = self.parameters()
+        self.shapes = {name: np.shape(value) for name, value in values.items()}
+        self.unary_size = sum(
+            np.size(value) for name, value in values.items() if name.startswith("unary.")
+        )
+        self.flat = np.concatenate([np.ravel(value) for value in values.values()], dtype=np.float64)
+        views = self.views(self.flat)
+        for prefix, mlp in (("unary", self.unary), ("pair", self.pairwise.embed)):
+            mlp.weights = [views[f"{prefix}.w{i}"] for i in range(len(mlp.weights))]
+            mlp.biases = [views[f"{prefix}.b{i}"] for i in range(len(mlp.biases))]
+        self.pairwise.beta_raw = views["pair.beta_raw"]
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Named views of every trainable array (mutating them updates the model)."""
@@ -190,6 +218,24 @@ class Model:
                 params[f"{prefix}.b{i}"] = b
         params["pair.beta_raw"] = self.pairwise.beta_raw
         return params
+
+    def views(self, flat: np.ndarray) -> "FlatViews":
+        """Named views into ``flat``, a vector laid out like ``self.flat``."""
+        return FlatViews(flat, self.shapes)
+
+
+class FlatViews(dict):
+    """Named views into one vector, ``flat``, packed back to back in the
+    order of ``shapes``, a name -> shape mapping."""
+
+    def __init__(self, flat: np.ndarray, shapes: dict):
+        super().__init__()
+        self.flat = flat
+        start = 0
+        for name, shape in shapes.items():
+            stop = start + math.prod(shape)
+            self[name] = flat[start:stop].reshape(shape)
+            start = stop
 
 
 def build_model(
@@ -257,7 +303,7 @@ def load_checkpoint(path) -> Model:
             data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape), size), dtype="<f8")
             if not np.isfinite(data).all():
                 raise ValueError(f"checkpoint tensor '{name}' is not finite")
-            tensors[name] = data.reshape(shape).astype(np.float64)
+            tensors[name] = data.reshape(shape)
 
     def collect(prefix: str) -> Mlp:
         weights, biases = [], []
@@ -272,8 +318,8 @@ def load_checkpoint(path) -> Model:
                 raise ValueError(
                     f"checkpoint layer {prefix} {i} has weight {w.shape} and bias {b.shape}"
                 )
-            weights.append(w.copy())
-            biases.append(b.copy())
+            weights.append(w)
+            biases.append(b)
         if not weights:
             raise ValueError(f"checkpoint holds no '{prefix}' layers")
         return Mlp(weights, biases)

@@ -31,6 +31,7 @@ from .gridio import atomic_open
 from .losses import LossSpec, predict_labels, task_loss
 from .metrics import depth_metrics, seg_metrics
 from .networks import (
+    FlatViews,
     Model,
     build_model,
     mlp_backward,
@@ -149,7 +150,8 @@ def forward_loss(
     weight decay either), and the result is bit-identical to running the
     full pipeline with beta = 0.  ``work`` lends the n x n arrays, or the
     call keeps its own; the results do not depend on which, and only the
-    loss and gradients, which never alias them, are returned.
+    loss and gradients, which never alias them, are returned.  The
+    gradients are ``model.views`` of a flat vector of their own.
     """
     targets = np.asarray(targets, dtype=np.float64)
     work = Workspace() if work is None else work
@@ -174,43 +176,51 @@ def forward_loss(
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"objective returned {loss!r}")
 
-    params = model.parameters()
-    grads = {name: np.zeros_like(value) for name, value in params.items()}
-    _, unary_grads = mlp_backward(model.unary, unary_cache, dscores)
-    for i, (dw, db) in enumerate(unary_grads):
-        grads[f"unary.w{i}"] = dw
-        grads[f"unary.b{i}"] = db
+    grads = model.views(np.zeros_like(model.flat))
+    mlp_backward(model.unary, unary_cache, dscores, _layers(grads, "unary", model.unary))
     if not unary_only:
-        embed_grads, dbeta_raw = pairwise_backward(
-            model.pairwise, pair_cache, daffinity, work=work
+        _, dbeta_raw = pairwise_backward(
+            model.pairwise,
+            pair_cache,
+            daffinity,
+            work=work,
+            out=_layers(grads, "pair", model.pairwise.embed),
         )
-        for i, (dw, db) in enumerate(embed_grads):
-            grads[f"pair.w{i}"] = dw
-            grads[f"pair.b{i}"] = db
-        grads["pair.beta_raw"] = np.array(dbeta_raw)
+        grads["pair.beta_raw"][...] = dbeta_raw
     if weight_decay:
-        for name, value in params.items():
-            if unary_only and not name.startswith("unary."):
-                continue
-            grads[name] = grads[name] + weight_decay * value
+        # warm-up leaves the pairwise slice, which follows the unary one, at zero
+        trained = model.unary_size if unary_only else model.flat.size
+        grads.flat[:trained] += weight_decay * model.flat[:trained]
     return float(loss), grads
 
 
-def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+def _layers(grads, prefix: str, mlp) -> list:
+    """The (dW, db) views of ``grads`` for each layer of ``mlp``."""
+    return [(grads[f"{prefix}.w{i}"], grads[f"{prefix}.b{i}"]) for i in range(len(mlp.weights))]
+
+
+def global_grad_norm(grads: FlatViews) -> float:
+    """The 2-norm of ``grads.flat``.
+
+    The squares are summed one view at a time, in order, and the partial
+    sums added up: one sum over the whole vector would round differently,
+    and move ``grad_norm`` and the clip test in their last bits."""
+    squares = grads.flat * grads.flat
+    total, start = 0, 0
+    for g in grads.values():
+        total += float(np.add.reduce(squares[start : start + g.size]))
+        start += g.size
+    return float(np.sqrt(total))
 
 
 def sgd_step(params, grads, velocity, config: TrainConfig, norm: float) -> None:
-    """v <- momentum v - lr g; theta <- theta + v, in place, with optional
-    clip of ``norm``, the gradients' global norm."""
+    """v <- momentum v - lr g; theta <- theta + v, in place on the flat
+    vectors, with optional clip of ``norm``, the gradients' global norm."""
     if config.clip_norm is not None and norm > config.clip_norm:
-        scale = config.clip_norm / norm
-        grads = {name: g * scale for name, g in grads.items()}
-    for name, value in params.items():
-        v = velocity[name]
-        v *= config.momentum
-        v -= config.lr * grads[name]
-        value += v
+        grads = grads * (config.clip_norm / norm)
+    velocity *= config.momentum
+    velocity -= config.lr * grads
+    params += velocity
 
 
 @dataclass
@@ -335,14 +345,14 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainHistory]:
         embed_dim=config.embed_dim,
         gamma=config.gamma,
     )
-    params = model.parameters()
-    velocity = {name: np.zeros_like(value) for name, value in params.items()}
+    params = model.flat
+    velocity = np.zeros_like(params)
 
     metric_name = "pixel_acc" if task == "segmentation" else "rms"
     history = TrainHistory(metric_name)
     track_best = config.keep == "best"
     best_metric = None
-    best_params = {name: value.copy() for name, value in params.items()}
+    best_params = params.copy()
     # every step and validation pass shares one set of n x n arrays
     work = Workspace()
 
@@ -371,10 +381,10 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainHistory]:
                 raise DivergenceError(epoch, int(j), f"gradient norm is {norm!r}")
             loss_sum += loss
             norm_sum += norm
-            sgd_step(params, grads, velocity, config, norm)
+            sgd_step(params, grads.flat, velocity, config, norm)
         # a finite gradient can still overflow a parameter; one check per
         # epoch names the last update before validation trips over it
-        if not all(np.isfinite(value).all() for value in params.values()):
+        if not np.isfinite(params).all():
             raise DivergenceError(epoch, int(j), "parameters are not finite after the update")
         metric = _validation_metric(model, val_ex, task, work)
         history.records.append(
@@ -388,9 +398,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainHistory]:
         )
         if track_best and (best_metric is None or _metric_improved(task, metric, best_metric)):
             best_metric = metric
-            best_params = {name: value.copy() for name, value in params.items()}
+            np.copyto(best_params, params)
 
     if track_best:
-        for name, value in params.items():
-            value[...] = best_params[name]
+        np.copyto(params, best_params)
     return model, history

@@ -9,7 +9,7 @@ from ccrf import (
     nll,
     nll_backward,
 )
-from ccrf.crf import NonFiniteAffinityError, Workspace, _outer_sum, unary_nll
+from ccrf.crf import NonFiniteAffinityError, Workspace, _outer_sum, _stacked, unary_nll
 
 from helpers import (
     central_diff,
@@ -335,7 +335,7 @@ class TestBlasProducts:
         a, b = rng.standard_normal((2, self.N, 9))
         d = rng.standard_normal(self.N)
         out = Workspace().get("affinity", self.N)
-        x = _outer_sum(a, b, d, out)
+        x = _outer_sum(_stacked((a,), d), _stacked((b,), 1.0), out)
         assert np.shares_memory(x, out)
         ref = a @ b.T + b @ a.T + d[:, None] + d[None, :]
         lower = np.tri(self.N, dtype=bool)

@@ -155,6 +155,19 @@ class TestMlpBackward:
         dx, _ = mlp_backward(mlp, cache, np.array([[1.0]]))
         assert dx[0, 0] == 0.0
 
+    def test_writes_into_given_arrays(self):
+        rng = np.random.default_rng(43)
+        mlp = Mlp.create(rng, [3, 5, 2])
+        _, cache = mlp_forward(mlp, rng.standard_normal((6, 3)))
+        dout = rng.standard_normal((6, 2))
+        dx, fresh = mlp_backward(mlp, cache, dout)
+        out = [(np.full_like(w, np.nan), np.full_like(b, np.nan)) for w, b in fresh]
+        dx_out, written = mlp_backward(mlp, cache, dout, out)
+        assert dx_out.tobytes() == dx.tobytes()
+        for (dw, db), (w_out, b_out), (w, b) in zip(written, out, fresh):
+            assert dw is w_out and db is b_out
+            assert dw.tobytes() == w.tobytes() and db.tobytes() == b.tobytes()
+
 
 class TestUnaryNet:
     def test_forward_backward_consistency(self):
@@ -253,7 +266,7 @@ class TestDistanceProduct:
         n = 300
         points = np.random.default_rng(31).standard_normal((n, 17))
         work = Workspace()
-        dist = _negated_squared_distances(points, work)
+        dist = _negated_squared_distances((points,), work)
         # the product lands in the workspace's buffer: had f2py copied it,
         # the buffer would still hold the zeros it was allocated with
         assert np.shares_memory(dist, work.get("kernel", n))
@@ -263,7 +276,7 @@ class TestDistanceProduct:
         lower = np.tri(n, dtype=bool)
         assert np.abs(work.get("kernel", n) - ref)[lower].max() <= 1e-12 * np.abs(ref).max()
         # without a workspace: that triangle and its mirror, exactly symmetric
-        full = _negated_squared_distances(points, None)
+        full = _negated_squared_distances((points,), None)
         assert np.array_equal(full, full.T)
         assert np.array_equal(full[lower], dist[lower])
 
@@ -387,6 +400,43 @@ class TestModel:
         params = model.parameters()
         params["unary.w0"][0, 0] += 1.0
         assert model.unary.weights[0][0, 0] == params["unary.w0"][0, 0]
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_parameters_are_views_of_one_flat_vector(self, tmp_path, source):
+        rng = np.random.default_rng(1)
+        model = build_model(
+            rng, feature_dim=4, output_dim=2, hidden_dims=(6, 5), embed_hidden_dims=(3,),
+            embed_dim=2,
+        )
+        path = tmp_path / "model.ccrf"
+        save_checkpoint(path, model)
+        if source == "loaded":
+            model = load_checkpoint(path)
+            resaved = tmp_path / "again.ccrf"
+            save_checkpoint(resaved, model)
+            assert resaved.read_bytes() == path.read_bytes()
+        params = model.parameters()
+        assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+        assert model.flat.size == sum(value.size for value in params.values())
+        assert model.unary_size == sum(
+            value.size for name, value in params.items() if name.startswith("unary.")
+        )
+        # packed back to back in parameters() order, the unary net first
+        assert np.array_equal(
+            model.flat, np.concatenate([value.ravel() for value in params.values()])
+        )
+        for name, value in params.items():
+            assert np.shares_memory(value, model.flat), name
+        x = rng.standard_normal((3, 4))
+        for mlp, name in ((model.unary, "unary.w1"), (model.pairwise.embed, "pair.b0")):
+            before, _ = mlp_forward(mlp, x)
+            params[name].flat[0] += 10.0
+            after, _ = mlp_forward(mlp, x)
+            assert not np.array_equal(before, after), name
+        params["pair.beta_raw"][...] = 0.0
+        assert model.pairwise.beta == pytest.approx(np.log(2.0))
+        model.flat[:] = 0.0
+        assert not any(value.any() for value in model.parameters().values())
 
     def test_parameter_names(self):
         rng = np.random.default_rng(0)

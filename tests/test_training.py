@@ -20,6 +20,7 @@ from ccrf import (
     training,
 )
 from ccrf.crf import Workspace
+from ccrf.networks import FlatViews
 from ccrf.training import EpochRecord, PreparedExample, global_grad_norm
 
 from helpers import grad_rel_err, model_param_fd, random_graph
@@ -212,6 +213,21 @@ class TestForwardLoss:
         with pytest.raises(ValueError):
             forward_loss(model, graph, np.zeros((5, 3)), LossSpec("softmax"))
 
+    def test_gradients_are_views_of_a_fresh_vector_per_call(self):
+        rng = np.random.default_rng(8)
+        model = build_model(rng, 4, 2, hidden_dims=(5,), embed_hidden_dims=(5,), embed_dim=3)
+        graph = random_graph(rng, 5)
+        targets = one_hot_targets(rng, 5, 2)
+        _, first = forward_loss(model, graph, targets, LossSpec("softmax"))
+        _, second = forward_loss(model, graph, targets, LossSpec("softmax"))
+        assert list(first) == list(model.parameters())
+        assert first.flat.tobytes() == second.flat.tobytes()
+        assert not np.shares_memory(first.flat, second.flat)
+        assert not np.shares_memory(first.flat, model.flat)
+        for name, value in first.items():
+            assert np.shares_memory(value, first.flat), name
+            assert value.shape == model.parameters()[name].shape, name
+
 
 class TestDirectionalDerivative:
     """Whole-step gradients at the node counts the benchmark runs.
@@ -288,39 +304,103 @@ class TestDirectionalDerivative:
         assert abs(numeric - analytic) <= self.TOL * abs(analytic), (numeric, analytic)
 
 
+def per_tensor_norm(grads):
+    """The per-tensor norm the flat ``global_grad_norm`` must reproduce."""
+    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+
+
+def per_tensor_sgd_step(params, grads, velocity, config, norm):
+    """The per-tensor update the flat ``sgd_step`` must reproduce."""
+    if config.clip_norm is not None and norm > config.clip_norm:
+        scale = config.clip_norm / norm
+        grads = {name: g * scale for name, g in grads.items()}
+    for name, value in params.items():
+        v = velocity[name]
+        v *= config.momentum
+        v -= config.lr * grads[name]
+        value += v
+
+
 class TestSgdStep:
+    @staticmethod
+    def norm(*values):
+        flat = np.array(values, dtype=np.float64)
+        return global_grad_norm(FlatViews(flat, {f"g{i}": (1,) for i in range(flat.size)}))
+
     def test_momentum_update_oracle(self):
         cfg = TrainConfig(lr=0.1, momentum=0.5, clip_norm=None)
-        params = {"w": np.array([1.0])}
-        grads = {"w": np.array([2.0])}
-        velocity = {"w": np.array([0.4])}
-        sgd_step(params, grads, velocity, cfg, global_grad_norm(grads))
+        params = np.array([1.0])
+        grads = np.array([2.0])
+        velocity = np.array([0.4])
+        sgd_step(params, grads, velocity, cfg, self.norm(2.0))
         # v = 0.5*0.4 - 0.1*2 = 0; w = 1 + 0 = 1
-        assert velocity["w"][0] == pytest.approx(0.0)
-        assert params["w"][0] == pytest.approx(1.0)
-        sgd_step(params, grads, velocity, cfg, global_grad_norm(grads))
+        assert velocity[0] == pytest.approx(0.0)
+        assert params[0] == pytest.approx(1.0)
+        sgd_step(params, grads, velocity, cfg, self.norm(2.0))
         # v = -0.2; w = 0.8
-        assert params["w"][0] == pytest.approx(0.8)
+        assert params[0] == pytest.approx(0.8)
 
     def test_clip_rescales_large_gradients(self):
         cfg = TrainConfig(lr=1.0, momentum=0.0, clip_norm=1.0)
-        params = {"w": np.array([0.0, 0.0])}
-        grads = {"w": np.array([3.0, 4.0])}  # norm 5 -> scaled to 1
-        velocity = {"w": np.zeros(2)}
-        sgd_step(params, grads, velocity, cfg, global_grad_norm(grads))
-        assert np.allclose(params["w"], [-0.6, -0.8])
+        params = np.array([0.0, 0.0])
+        grads = np.array([3.0, 4.0])  # norm 5 -> scaled to 1
+        velocity = np.zeros(2)
+        sgd_step(params, grads, velocity, cfg, self.norm(3.0, 4.0))
+        assert np.allclose(params, [-0.6, -0.8])
 
     def test_small_gradients_not_rescaled(self):
         cfg = TrainConfig(lr=1.0, momentum=0.0, clip_norm=10.0)
-        params = {"w": np.array([0.0])}
-        velocity = {"w": np.zeros(1)}
-        grads = {"w": np.array([0.5])}
-        sgd_step(params, grads, velocity, cfg, global_grad_norm(grads))
-        assert params["w"][0] == pytest.approx(-0.5)
+        params = np.array([0.0])
+        velocity = np.zeros(1)
+        grads = np.array([0.5])
+        sgd_step(params, grads, velocity, cfg, self.norm(0.5))
+        assert params[0] == pytest.approx(-0.5)
 
     def test_global_grad_norm(self):
-        grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-        assert global_grad_norm(grads) == pytest.approx(5.0)
+        assert self.norm(3.0, 4.0) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("clip_norm", [None, 1.0])
+    def test_flat_step_matches_per_tensor_arithmetic(self, clip_norm):
+        # 20 steps on a real layout: every norm, parameter and velocity equal
+        # bit for bit to the per-tensor loop that the flat vector replaced
+        rng = np.random.default_rng(61)
+        model = build_model(rng, 6, 3, hidden_dims=(9, 5), embed_hidden_dims=(7,), embed_dim=4)
+        reference = {name: value.copy() for name, value in model.parameters().items()}
+        ref_velocity = {name: np.zeros_like(value) for name, value in reference.items()}
+        velocity = np.zeros_like(model.flat)
+        cfg = TrainConfig(lr=0.05, momentum=0.9, clip_norm=clip_norm)
+        clipped = 0
+        for _ in range(20):
+            grads = model.views(rng.standard_normal(model.flat.size) * rng.uniform(0.01, 0.2))
+            norm = global_grad_norm(grads)
+            assert norm == per_tensor_norm(grads)
+            clipped += clip_norm is not None and norm > clip_norm
+            sgd_step(model.flat, grads.flat, velocity, cfg, norm)
+            per_tensor_sgd_step(reference, dict(grads), ref_velocity, cfg, norm)
+            for name, value in model.parameters().items():
+                assert value.tobytes() == reference[name].tobytes(), name
+            assert velocity.tobytes() == b"".join(v.tobytes() for v in ref_velocity.values())
+        if clip_norm is not None:
+            assert 0 < clipped < 20
+
+    def test_warmup_step_leaves_the_pairwise_slice_untouched(self):
+        rng = np.random.default_rng(62)
+        model = build_model(rng, 4, 2, hidden_dims=(5,), embed_hidden_dims=(5,), embed_dim=3)
+        graph = random_graph(rng, 7)
+        pair = slice(model.unary_size, None)
+        before = model.flat[pair].tobytes()
+        velocity = np.zeros_like(model.flat)
+        cfg = TrainConfig(lr=0.1, weight_decay=0.01)
+        for _ in range(3):
+            _, grads = forward_loss(
+                model, graph, one_hot_targets(rng, 7, 2), LossSpec("softmax"),
+                weight_decay=cfg.weight_decay, unary_only=True,
+            )
+            assert not grads.flat[pair].any()
+            sgd_step(model.flat, grads.flat, velocity, cfg, global_grad_norm(grads))
+        assert model.flat[pair].tobytes() == before
+        assert not velocity[pair].any()
+        assert velocity[: model.unary_size].any()
 
 
 class TestTrainHistory:
