@@ -153,7 +153,7 @@ def _run_dir(out_root: str, command: str, config: dict[str, str]) -> tuple[str, 
     return path, run_id
 
 
-def _write_run_manifest(run_dir, run_id, command, args, config) -> None:
+def _write_run_manifest(run_dir, run_id, command, args, config, **outcome) -> None:
     manifest = {
         "command": command,
         "config": getattr(args, "config", None),
@@ -161,6 +161,7 @@ def _write_run_manifest(run_dir, run_id, command, args, config) -> None:
         "out_dir": run_dir,
         "run_id": run_id,
         "effective_config": config,
+        **outcome,
     }
     with atomic_open(os.path.join(run_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -215,12 +216,14 @@ def _cmd_train(args) -> int:
     run_dir, run_id = _run_dir(args.out, "train", mapping)
     save_checkpoint(os.path.join(run_dir, "checkpoint.ccrf"), model)
     history.write_csv(os.path.join(run_dir, "history.csv"))
-    _write_run_manifest(run_dir, run_id, "train", args, mapping)
+    kept = history.kept_epoch
+    _write_run_manifest(run_dir, run_id, "train", args, mapping, kept_epoch=kept)
     last = history.records[-1] if history.records else None
     if last is not None:
+        warmup = " (unary warm-up)" if kept < config.unary_warmup_epochs else ""
         print(
             f"trained {config.epochs} epochs; final {history.metric_name} "
-            f"{_fmt_metric(last.metric)}; run dir {run_dir}"
+            f"{_fmt_metric(last.metric)}; kept epoch {kept}{warmup}; run dir {run_dir}"
         )
     else:
         print(f"saved initialization checkpoint (0 epochs); run dir {run_dir}")

@@ -236,6 +236,7 @@ class EpochRecord:
 class TrainHistory:
     metric_name: str
     records: list = field(default_factory=list)
+    kept_epoch: int | None = None  # whose parameters train returned; None: the initial ones
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -325,7 +326,9 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainHistory]:
     carries the parameters of the best validation epoch (train split
     stands in when the val split is empty); ``keep="last"`` returns the
     final-epoch parameters, the sane choice when validation targets are
-    themselves corrupted and the metric cannot rank epochs.
+    themselves corrupted and the metric cannot rank epochs.  Either way
+    ``history.kept_epoch`` names the epoch whose parameters are returned,
+    which may be a warm-up epoch.
     """
     if not dataset.train:
         raise ValueError("training split is empty")
@@ -396,8 +399,11 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainHistory]:
                 norm_sum / len(train_ex),
             )
         )
-        if track_best and (best_metric is None or _metric_improved(task, metric, best_metric)):
+        if not track_best:
+            history.kept_epoch = epoch
+        elif best_metric is None or _metric_improved(task, metric, best_metric):
             best_metric = metric
+            history.kept_epoch = epoch
             np.copyto(best_params, params)
 
     if track_best:

@@ -258,6 +258,32 @@ class TestTrain:
         hist_b = open(os.path.join(only_run_dir(out_b, "train"), "history.csv"), "rb").read()
         assert hist_a == hist_b
 
+    def test_manifest_names_the_kept_epoch(self, tmp_path, capsys):
+        # keep=best can return a unary warm-up epoch: during warm-up ls and
+        # loglik share one gradient, and here its validation rms was best
+        cfg = depth_config(tmp_path, target_nodes=16, count=8, epochs=3)
+        data = synth_into(tmp_path, cfg)
+        out = str(tmp_path / "runs")
+        capsys.readouterr()
+        argv = ["train", "--config", cfg, "--data", data, "--out", out, "--seed", "1"]
+        assert cli.main(argv + ["--loss", "ls"]) == 0
+        assert "kept epoch 0 (unary warm-up)" in capsys.readouterr().out
+        run_dir = only_run_dir(out, "train")
+        with open(os.path.join(run_dir, "manifest.json")) as fh:
+            assert json.load(fh)["kept_epoch"] == 0
+        history = open(os.path.join(run_dir, "history.csv")).read().splitlines()[1:]
+        rms = [float(line.split(",")[2]) for line in history]
+        assert rms[0] == min(rms)
+
+        keep_last = depth_config(tmp_path, name="last.cfg", target_nodes=16, count=8, epochs=3,
+                                 keep="last")
+        last_out = str(tmp_path / "last")
+        assert cli.main(["train", "--config", keep_last, "--data", data, "--out", last_out]) == 0
+        stdout = capsys.readouterr().out
+        assert "kept epoch 2;" in stdout and "warm-up" not in stdout
+        with open(os.path.join(only_run_dir(last_out, "train"), "manifest.json")) as fh:
+            assert json.load(fh)["kept_epoch"] == 2
+
     def test_loss_flag_overrides_config(self, tmp_path):
         cfg = seg_config(tmp_path)
         data = synth_into(tmp_path, cfg)

@@ -670,6 +670,7 @@ class TestTrain:
         ds = small_seg_dataset()
         model, hist = train(ds, tiny_config(epochs=4, unary_warmup_epochs=1))
         best = max(rec.metric for rec in hist.records)
+        assert hist.records[hist.kept_epoch].metric == best
         val = evaluate(model, prepare_examples(ds.val), "segmentation")
         assert val["pixel_acc"] == pytest.approx(best, abs=1e-12)
 
@@ -687,6 +688,7 @@ class TestTrain:
         cfg = tiny_config(loss=LossSpec("tukey", 1.0), epochs=4, unary_warmup_epochs=1,
                           keep="last")
         model, hist = train(ds, cfg)
+        assert hist.kept_epoch == 3
         val = evaluate(model, prepare_examples(ds.val), "depth")
         assert val["rms"] == pytest.approx(hist.records[-1].metric, abs=1e-12)
 
