@@ -176,7 +176,7 @@ def forward_loss(
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"objective returned {loss!r}")
 
-    grads = model.views(np.zeros_like(model.flat))
+    grads = model.views(np.zeros(model.flat.size))
     mlp_backward(model.unary, unary_cache, dscores, _layers(grads, "unary", model.unary))
     if not unary_only:
         _, dbeta_raw = pairwise_backward(
