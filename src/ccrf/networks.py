@@ -107,10 +107,10 @@ def mlp_backward(
         raise ValueError(
             f"gradient shape {grad.shape} does not match output {cache.preacts[last].shape}"
         )
-    param_grads = [(None, None)] * len(mlp.weights) if out is None else out
+    param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(mlp.weights)
     for i in range(last, -1, -1):
         dpre = grad if i == last else grad * (cache.preacts[i] > 0.0)
-        dw, db = param_grads[i]
+        dw, db = (None, None) if out is None else out[i]
         param_grads[i] = (
             np.matmul(cache.inputs[i].T, dpre, out=dw),
             np.add.reduce(dpre, axis=0, out=db),
@@ -186,8 +186,9 @@ class Model:
     """Unary scorer + pairwise kernel net.
 
     Every trainable value lives in one float64 vector, ``flat``, in
-    ``parameters()`` order, the unary net's first.  Construction copies
-    the arrays it is given into it and rebinds each weight, bias and
+    ``parameters()`` order, the unary net's ``unary_size`` values first;
+    ``shapes`` maps each name to its shape.  Construction copies the
+    arrays it is given into it and rebinds each weight, bias and
     ``beta_raw`` to its view, so one numpy call updates, checks or copies
     them all.
     """
