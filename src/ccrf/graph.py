@@ -128,39 +128,49 @@ def compute_pixel_features(image: ImageGrid) -> np.ndarray:
 
     Layout: raw intensities, 3x3 box-smoothed intensities, horizontal and
     vertical gradient magnitudes of the mean intensity, and row/column
-    coordinates normalized to [0, 1].
+    coordinates normalized to [0, 1].  The result is a strided view.
     """
-    values = image.values
-    height, width, _ = values.shape
-    smoothed = ndimage.uniform_filter(values, size=(3, 3, 1), mode="nearest")
-    grad_row, grad_col = np.gradient(values.mean(axis=2))
-    return np.concatenate(
-        [
-            values,
-            smoothed,
-            np.abs(grad_col)[:, :, None],
-            np.abs(grad_row)[:, :, None],
-            _pixel_grid(height, width) / [height - 1, width - 1],
-        ],
-        axis=2,
-    )
+    return _pixel_planes(image)[:-2].transpose(1, 2, 0)
 
 
-def _pixel_grid(height: int, width: int) -> np.ndarray:
-    """(H, W, 2) float (row, col) coordinates of every pixel."""
-    rows, cols = np.indices((height, width), dtype=np.float64)
-    return np.stack([rows, cols], axis=2)
+def _pixel_planes(image: ImageGrid) -> np.ndarray:
+    """Channel-first (2*channels + 6, H, W) stack: the planes of
+    ``compute_pixel_features``, then raw row and column coordinates."""
+    height, width, c = image.values.shape
+    planes = np.empty((2 * c + 6, height, width))
+    planes[:c] = image.values.transpose(2, 0, 1)
+    ndimage.uniform_filter(planes[:c], size=(1, 3, 3), mode="nearest", output=planes[c : 2 * c])
+    mean = np.add.reduce(planes[:c]) / c  # adds channels in values.mean(axis=2)'s order
+    _abs_gradient(mean.T, planes[2 * c].T)
+    _abs_gradient(mean, planes[2 * c + 1])
+    rows = np.arange(height, dtype=np.float64)[:, None]
+    cols = np.arange(width, dtype=np.float64)
+    planes[-4], planes[-3] = rows / (height - 1), cols / (width - 1)
+    planes[-2], planes[-1] = rows, cols
+    return planes
 
 
-def _node_sums(labels: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Sum (H, W) or (H, W, k) pixel values over node labels, shape (n, k).
+def _abs_gradient(f: np.ndarray, out: np.ndarray) -> None:
+    """|np.gradient(f, axis=0)| into ``out``, with its arithmetic: central
+    differences inside, one-sided differences at the two edges."""
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0
+    np.subtract(f[1], f[0], out=out[0])
+    np.subtract(f[-1], f[-2], out=out[-1])
+    np.abs(out, out=out)
 
-    One bincount per column adds the pixels in raster order, as ``np.add.at``
-    would, so the sums match a scatter bit for bit.
+
+def _node_means(planes: np.ndarray, seg: SuperpixelSegmentation) -> np.ndarray:
+    """Mean of k (H, W) pixel planes over each node, shape (n, k), C order.
+
+    One bincount over the offset labels ``label + plane * n`` adds each bin's
+    pixels in raster order, as ``np.add.at`` would, so the sums match a
+    scatter bit for bit.
     """
-    labels = labels.ravel()
-    columns = values.reshape(labels.size, -1).T
-    return np.stack([np.bincount(labels, weights=c, minlength=n) for c in columns], axis=1)
+    k = planes.shape[0]
+    offsets = seg.label_map.ravel() + seg.n * np.arange(k)[:, None]
+    sums = np.bincount(offsets.ravel(), weights=planes.ravel(), minlength=k * seg.n)
+    return np.ascontiguousarray((sums.reshape(k, seg.n) / seg.counts).T)
 
 
 def pool_features(pixel_features: np.ndarray, seg: SuperpixelSegmentation) -> np.ndarray:
@@ -170,18 +180,20 @@ def pool_features(pixel_features: np.ndarray, seg: SuperpixelSegmentation) -> np
         raise ValueError(
             f"feature map {pixel_features.shape} does not cover segmentation {seg.shape}"
         )
-    return _node_sums(seg.label_map, pixel_features, seg.n) / seg.counts[:, None]
+    return _node_means(pixel_features.transpose(2, 0, 1), seg)
 
 
 def compute_centroids(seg: SuperpixelSegmentation) -> np.ndarray:
     """Mean (row, col) per node, normalized by (height-1, width-1)."""
     height, width = seg.shape
-    return pool_features(_pixel_grid(height, width), seg) / [height - 1, width - 1]
+    coordinates = np.indices((height, width), dtype=np.float64)
+    return _node_means(coordinates, seg) / [height - 1, width - 1]
 
 
 def build_graph(image: ImageGrid, seg: SuperpixelSegmentation) -> NodeGraph:
     """Pool pixel features and centroids into a node graph."""
     if seg.shape != (image.height, image.width):
         raise ValueError("segmentation does not match image size")
-    features = pool_features(compute_pixel_features(image), seg)
-    return NodeGraph(seg.n, features, compute_centroids(seg))
+    means = _node_means(_pixel_planes(image), seg)
+    centroids = means[:, -2:] / [image.height - 1, image.width - 1]
+    return NodeGraph(seg.n, np.ascontiguousarray(means[:, :-2]), centroids)

@@ -126,6 +126,26 @@ def _reference_affinity_grad(da0):
     return daff
 
 
+def reference_pixel_features(image):
+    """Per-pixel descriptors from a channel-last box filter, ``np.gradient``
+    and ``np.indices``: the oracle for ``compute_pixel_features``."""
+    values = image.values
+    height, width, _ = values.shape
+    smoothed = ndimage.uniform_filter(values, size=(3, 3, 1), mode="nearest")
+    grad_row, grad_col = np.gradient(values.mean(axis=2))
+    coordinates = np.indices((height, width), dtype=np.float64).transpose(1, 2, 0)
+    return np.concatenate(
+        [
+            values,
+            smoothed,
+            np.abs(grad_col)[:, :, None],
+            np.abs(grad_row)[:, :, None],
+            coordinates / [height - 1, width - 1],
+        ],
+        axis=2,
+    )
+
+
 def reference_pool_features(pixel_features, seg):
     """Per-node means by an ``np.add.at`` scatter: the oracle for
     ``pool_features`` and for the depth targets."""

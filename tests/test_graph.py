@@ -14,6 +14,7 @@ from ccrf import (
 from helpers import (
     connectivity_violations,
     reference_centroids,
+    reference_pixel_features,
     reference_pool_features,
     voronoi_segment,
 )
@@ -169,6 +170,12 @@ class TestPooling:
         with pytest.raises(ValueError):
             pool_features(np.zeros((8, 8, 3)), seg)
 
+    def test_build_graph_rejects_mismatched_segmentation(self):
+        # same pixel count, transposed shape: pooling alone would not notice
+        seg = grid_segment(constant_image(20, 16), 4)
+        with pytest.raises(ValueError, match="segmentation does not match image size"):
+            build_graph(constant_image(16, 20), seg)
+
 
 class TestCentroids:
     def test_whole_image_node(self):
@@ -191,19 +198,45 @@ class TestCentroids:
 
 
 class TestReductionOracles:
-    """Pooling and centroids equal the scatter oracles bit for bit."""
+    """Pixel features, pooling and centroids equal the oracles bit for bit."""
+
+    # the benchmark workloads' image sizes and node counts; 20 nodes elsewhere
+    BENCHMARK_NODES = {64: 100, 96: 700}
 
     @pytest.mark.parametrize("segment", [grid_segment, voronoi_segment])
-    @pytest.mark.parametrize("shape", [(33, 47, 1), (33, 47, 3), (40, 40, 3)])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (33, 47, 1),
+            (33, 47, 3),
+            (40, 40, 3),
+            (33, 47, 2),
+            (8, 8, 1),
+            (8, 8, 3),
+            (64, 64, 3),
+            (96, 96, 3),
+            (96, 96, 1),
+        ],
+    )
     def test_pooling_and_centroids_match_oracles(self, segment, shape):
         rng = np.random.default_rng(shape[1] + shape[2])
         img = ImageGrid(rng.uniform(0, 1, shape))
-        seg = segment(img, 20)
+        seg = segment(img, self.BENCHMARK_NODES.get(shape[0], 20))
         feats = compute_pixel_features(img)
+        reference = reference_pixel_features(img)
+        assert np.array_equal(feats, reference)
         assert np.array_equal(pool_features(feats, seg), reference_pool_features(feats, seg))
+        # a strided view pools to the same bits as a contiguous copy
+        assert np.array_equal(
+            pool_features(feats, seg), pool_features(np.ascontiguousarray(feats), seg)
+        )
         assert np.array_equal(compute_centroids(seg), reference_centroids(seg))
         graph = build_graph(img, seg)
-        assert np.array_equal(graph.features, reference_pool_features(feats, seg))
+        assert np.array_equal(graph.features, reference_pool_features(reference, seg))
+        assert np.array_equal(graph.centroids, reference_centroids(seg))
+        # the unary MLP's matmul sees the layout it always saw
+        for array in (graph.features, graph.centroids):
+            assert array.dtype == np.float64 and array.flags.c_contiguous
 
     def test_counts_match_a_recount(self):
         seg = voronoi_segment(ImageGrid(np.random.default_rng(1).uniform(0, 1, (33, 47))), 15)
