@@ -16,7 +16,7 @@ from .crf import (
     nll_backward,
 )
 from .datasets import Dataset, LabeledExample, load_dataset, save_dataset
-from .gridio import read_f32grid, write_f32grid
+from .gridio import read_f32grid, read_f32grids, write_f32grid, write_f32grids
 from .graph import (
     ImageGrid,
     NodeGraph,

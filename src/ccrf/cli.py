@@ -209,7 +209,7 @@ def _cmd_train(args) -> int:
         parse_config(args.config), {"seed": args.seed, "loss": args.loss}
     )
     config = train_config(mapping)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, ("train", "val"))
     if dataset.task == "depth" and config.loss.kind == "softmax":
         raise ValueError("softmax loss needs class targets, not depth values")
     model, history = train(dataset, config)

@@ -2,8 +2,9 @@
 
 A dataset directory holds one manifest per split (train/val/test).  Each
 manifest is a plain text file: comment lines start with '#', the first
-data line tags the task, and every following line names an image grid,
-a segmentation grid, and a target grid, relative to the manifest.
+data line tags the task, and every following line names one example file,
+relative to the manifest.  An example file holds three grid records back
+to back: the image, the segmentation and the targets.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import ImageGrid, SuperpixelSegmentation
-from .gridio import atomic_open, read_f32grid, write_f32grid
+from .gridio import atomic_open, read_f32grids, write_f32grids
 
 TASKS = ("segmentation", "depth")
 SPLIT_MANIFESTS = {
@@ -62,18 +63,14 @@ class Dataset:
 
 
 def write_manifest(directory, split: str, task: str, examples) -> None:
-    """Write one split: the manifest line plus a file triplet per example."""
+    """Write one split: the manifest plus one example file per example."""
     os.makedirs(directory, exist_ok=True)
     lines = ["# dataset manifest", f"task={task}"]
     for i, example in enumerate(examples):
-        stem = f"{split}_{i:04d}"
-        img = f"{stem}_img.f32grid"
-        seg = f"{stem}_seg.f32grid"
-        tgt = f"{stem}_tgt.f32grid"
-        write_f32grid(os.path.join(directory, img), example.image.values)
-        write_f32grid(os.path.join(directory, seg), example.seg.label_map.astype(np.float64))
-        write_f32grid(os.path.join(directory, tgt), example.targets)
-        lines.append(f"{img} {seg} {tgt}")
+        name = f"{split}_{i:04d}.f32grids"
+        records = (example.image.values, example.seg.label_map.astype(np.float64), example.targets)
+        write_f32grids(os.path.join(directory, name), records)
+        lines.append(name)
     with atomic_open(os.path.join(directory, SPLIT_MANIFESTS[split])) as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -96,12 +93,15 @@ def read_manifest(path) -> tuple[str, list]:
                     raise ValueError(f"{path}:{lineno}: unknown task {task!r}")
                 continue
             parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected an image/seg/target triplet")
-            try:
-                img, seg_values, targets = (
-                    read_f32grid(os.path.join(directory, part)) for part in parts
+            if len(parts) == 3:
+                raise ValueError(
+                    f"{path}:{lineno}: names three grid files, the layout before one "
+                    "file per example; regenerate the dataset with `ccrf synth`"
                 )
+            if len(parts) != 1:
+                raise ValueError(f"{path}:{lineno}: expected one example file name")
+            try:
+                img, seg_values, targets = read_f32grids(os.path.join(directory, parts[0]), 3)
             except OSError as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from err
             # NaN fails every comparison; the bound keeps the cast exact
@@ -124,21 +124,21 @@ def save_dataset(dataset: Dataset, directory) -> None:
         write_manifest(directory, split, dataset.task, dataset.split(split))
 
 
-def load_dataset(directory) -> Dataset:
-    """Read every split manifest present under ``directory``."""
+def load_dataset(directory, splits=tuple(SPLIT_MANIFESTS)) -> Dataset:
+    """Read the manifests of ``splits`` present under ``directory``; every
+    other split loads empty."""
     task = None
-    splits: dict[str, list] = {}
-    for split, name in SPLIT_MANIFESTS.items():
-        path = os.path.join(directory, name)
+    loaded = {split: [] for split in SPLIT_MANIFESTS}
+    for split in splits:
+        path = os.path.join(directory, SPLIT_MANIFESTS[split])
         if not os.path.exists(path):
-            splits[split] = []
             continue
         split_task, examples = read_manifest(path)
         if task is None:
             task = split_task
         elif task != split_task:
             raise ValueError(f"{directory}: split manifests disagree on the task")
-        splits[split] = examples
+        loaded[split] = examples
     if task is None:
         raise ValueError(f"{directory}: no dataset manifests found")
-    return Dataset(task, splits["train"], splits["val"], splits["test"])
+    return Dataset(task, loaded["train"], loaded["val"], loaded["test"])

@@ -7,6 +7,7 @@ quantities downstream models ever see.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,7 @@ class NodeGraph:
         self.centroids = centroids
 
 
+@functools.lru_cache
 def _best_grid(height: int, width: int, target: int) -> tuple[int, int]:
     # closest rows*cols to target, squarest aspect as tie-break, first hit wins
     best = None

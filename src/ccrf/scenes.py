@@ -10,6 +10,7 @@ segmentation, which is what training consumes.
 from __future__ import annotations
 
 import colorsys
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,12 +84,20 @@ def class_palette(num_classes: int) -> np.ndarray:
 
 
 def _shape_mask(size, kind, cy, cx, ry, rx):
-    """A rectangle (kind 0) or an ellipse with half-axes (ry, rx) about (cy, cx)."""
-    rows = np.arange(size)[:, None]
-    cols = np.arange(size)[None, :]
+    """A rectangle (kind 0) or an ellipse with half-axes (ry, rx) about (cy, cx).
+
+    Returns ``(box, mask)``: ``box`` is a (rows, cols) pair of slices that
+    holds every pixel of the shape, with a pixel of margin against rounding,
+    and ``mask`` is the shape's formula evaluated on the pixels of ``box``.
+    """
+    row_range = max(math.floor(cy - ry) - 1, 0), min(math.ceil(cy + ry) + 2, size)
+    col_range = max(math.floor(cx - rx) - 1, 0), min(math.ceil(cx + rx) + 2, size)
+    rows = np.arange(*row_range)[:, None]
+    cols = np.arange(*col_range)[None, :]
+    box = slice(*row_range), slice(*col_range)
     if kind == 0:
-        return (np.abs(rows - cy) <= ry) & (np.abs(cols - cx) <= rx)
-    return ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
+        return box, (np.abs(rows - cy) <= ry) & (np.abs(cols - cx) <= rx)
+    return box, ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
 
 
 def _draw_shapes(rng, size, shape_count, class_range):
@@ -99,7 +108,8 @@ def _draw_shapes(rng, size, shape_count, class_range):
         kind = rng.integers(0, 2)
         cy, cx = rng.uniform(0, size, size=2)
         ry, rx = rng.uniform(size / 8, size / 3, size=2)
-        labels[_shape_mask(size, kind, cy, cx, ry, rx)] = cls
+        box, mask = _shape_mask(size, kind, cy, cx, ry, rx)
+        labels[box][mask] = cls
     return labels
 
 
@@ -186,10 +196,11 @@ def gen_depth_scene(spec: SyntheticSceneSpec) -> LabeledExample:
         shapes.append((level, tilt, kind, cy, cx, ry, rx, rng.uniform(0.3, 1.0)))
     # painter's order: farthest (largest depth) first, so nearer occludes
     for level, tilt, kind, cy, cx, ry, rx, alb in sorted(shapes, reverse=True, key=lambda s: s[0]):
-        mask = _shape_mask(size, kind, cy, cx, ry, rx)
-        plane = level + tilt[0] * (u - cy / (size - 1)) + tilt[1] * (v - cx / (size - 1))
-        depth = np.where(mask, plane, depth)
-        albedo = np.where(mask, alb, albedo)
+        box, mask = _shape_mask(size, kind, cy, cx, ry, rx)
+        rows, cols = box
+        plane = level + tilt[0] * (u[rows] - cy / (size - 1)) + tilt[1] * (v[:, cols] - cx / (size - 1))
+        depth[box][mask] = plane[mask]
+        albedo[box][mask] = alb
     depth = depth + _rough_field(rng, size, max(size // 8, 2), 0.15)
     depth = normalize_depth_map(depth)
 

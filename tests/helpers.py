@@ -4,6 +4,7 @@ import numpy as np
 from scipy import ndimage
 
 from ccrf import NodeGraph, SuperpixelSegmentation, assemble, mlp_backward
+from ccrf.gridio import read_f32grids, write_f32grids
 from ccrf.networks import sigmoid
 
 
@@ -176,3 +177,27 @@ def reference_class_votes(seg, class_map, classes):
     votes = np.zeros((seg.n, classes), dtype=np.int64)
     np.add.at(votes, (seg.label_map.ravel(), class_map.ravel()), 1)
     return votes
+
+
+def reference_shape_mask(size, kind, cy, cx, ry, rx):
+    """A shape's formula evaluated on the full size x size grid: the oracle
+    for the box ``scenes._shape_mask`` returns, in the same (box, mask)
+    form with a box that covers the whole grid."""
+    rows = np.arange(size)[:, None]
+    cols = np.arange(size)[None, :]
+    if kind == 0:
+        mask = (np.abs(rows - cy) <= ry) & (np.abs(cols - cx) <= rx)
+    else:
+        mask = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
+    return (slice(None), slice(None)), mask
+
+
+EXAMPLE_RECORDS = ("image", "seg", "targets")
+
+
+def set_example_value(path, record, index, value):
+    """Set one entry of an example file's image, seg or targets record and
+    rewrite the file; the other two records keep their bytes."""
+    arrays = read_f32grids(path, len(EXAMPLE_RECORDS))
+    arrays[EXAMPLE_RECORDS.index(record)][index] = value
+    write_f32grids(path, arrays)

@@ -18,16 +18,14 @@ from ccrf import (
     load_checkpoint,
     load_dataset,
     pool_features,
-    read_f32grid,
     save_checkpoint,
     save_dataset,
     synth_dataset,
-    write_f32grid,
 )
 from ccrf.cli import parse_config
 from ccrf.cli import train_config as config_from_mapping
 
-from helpers import voronoi_segment
+from helpers import set_example_value, voronoi_segment
 
 
 def write_config(path, **kv):
@@ -338,13 +336,30 @@ class TestTrain:
     def test_nonfinite_target_is_a_data_error(self, tmp_path, capsys, split):
         cfg = depth_config(tmp_path, loss="loglik")
         data = synth_into(tmp_path, cfg)
-        tgt_path = os.path.join(data, f"{split}_0000_tgt.f32grid")
-        targets = read_f32grid(tgt_path)
-        targets[0] = np.nan
-        write_f32grid(tgt_path, targets)
+        set_example_value(os.path.join(data, f"{split}_0000.f32grids"), "targets", 0, np.nan)
         code = cli.main(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "runs")])
         assert code == 2
         assert "targets must be finite" in capsys.readouterr().err
+
+    def test_reads_only_the_train_and_val_splits(self, tmp_path):
+        cfg = seg_config(tmp_path)
+        data = synth_into(tmp_path, cfg)
+        with open(os.path.join(data, "test.manifest"), "w") as fh:
+            fh.write("not a manifest\n")
+        assert cli.main(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "runs")]) == 0
+
+    def test_three_file_layout_is_a_data_error(self, tmp_path, capsys):
+        cfg = seg_config(tmp_path)
+        data = synth_into(tmp_path, cfg)
+        manifest = os.path.join(data, "train.manifest")
+        with open(manifest) as fh:
+            lines = fh.read().splitlines()
+        lines[-1] = "train_0000_img.f32grid train_0000_seg.f32grid train_0000_tgt.f32grid"
+        with open(manifest, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code = cli.main(["train", "--config", cfg, "--data", data, "--out", str(tmp_path / "runs")])
+        assert code == 2
+        assert "regenerate the dataset with `ccrf synth`" in capsys.readouterr().err
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = depth_config(
@@ -478,10 +493,7 @@ class TestEval:
 
     def test_node_index_beyond_pixel_count_is_a_data_error(self, tmp_path, capsys):
         data, ckpt = self.trained_run(tmp_path, seg_config(tmp_path))
-        seg_path = os.path.join(data, "test_0000_seg.f32grid")
-        seg = read_f32grid(seg_path)
-        seg[0, 0] = 1e12
-        write_f32grid(seg_path, seg)
+        set_example_value(os.path.join(data, "test_0000.f32grids"), "seg", (0, 0), 1e12)
         code = cli.main(["eval", "--ckpt", ckpt, "--data", data, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "pixels" in capsys.readouterr().err

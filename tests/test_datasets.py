@@ -8,12 +8,14 @@ from ccrf import (
     LabeledExample,
     SyntheticSceneSpec,
     load_dataset,
-    read_f32grid,
     save_dataset,
     synth_dataset,
     write_f32grid,
 )
 from ccrf.datasets import read_manifest, write_manifest
+from ccrf.gridio import read_f32grids, write_f32grids
+
+from helpers import set_example_value
 
 
 def small_dataset(task="segmentation", count=5):
@@ -80,11 +82,15 @@ class TestRoundtrip:
         lines = (tmp_path / "train.manifest").read_text().splitlines()
         content = [ln for ln in lines if ln and not ln.startswith("#")]
         assert content[0] == "task=segmentation"
-        for line in content[1:]:
+        for line, example in zip(content[1:], ds.train, strict=True):
             paths = line.split()
-            assert len(paths) == 3
+            assert len(paths) == 1
             for rel in paths:
                 assert (tmp_path / rel).exists()
+            image, seg, targets = read_f32grids(tmp_path / paths[0], 3)
+            assert image.shape == example.image.values.shape
+            assert np.array_equal(seg, example.seg.label_map)
+            assert np.array_equal(targets, example.targets)
 
     def test_empty_split_loads_empty(self, tmp_path):
         ds = small_dataset(count=2)  # 0.6*2 -> 1 train, 0.2*2 -> 0 val
@@ -100,6 +106,16 @@ class TestRoundtrip:
         back = load_dataset(tmp_path)
         assert back.val == []
         assert len(back.train) == len(ds.train)
+
+    def test_load_reads_only_the_named_splits(self, tmp_path):
+        ds = small_dataset()
+        save_dataset(ds, tmp_path)
+        (tmp_path / "test.manifest").write_text("not a manifest\n")
+        back = load_dataset(tmp_path, ("train", "val"))
+        assert (len(back.train), len(back.val), back.test) == (len(ds.train), len(ds.val), [])
+        back = load_dataset(tmp_path, ("train",))
+        back.val.append(None)
+        assert back.test == []  # each empty split is its own list
 
     def test_all_manifests_missing_is_an_error(self, tmp_path):
         with pytest.raises((ValueError, OSError)):
@@ -123,14 +139,41 @@ class TestManifestFormat:
     def test_read_rejects_a_seg_value_that_is_no_node_index(self, tmp_path, value):
         ds = small_dataset(count=2)
         write_manifest(tmp_path, "train", ds.task, ds.train)
-        seg_path = tmp_path / "train_0000_seg.f32grid"
-        seg = read_f32grid(seg_path)
-        seg[0, 0] = value
-        write_f32grid(seg_path, seg)
+        set_example_value(tmp_path / "train_0000.f32grids", "seg", (0, 0), value)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="whole numbers"):
                 read_manifest(tmp_path / "train.manifest")
+
+    def test_read_rejects_the_three_file_layout(self, tmp_path):
+        ds = small_dataset(count=2)
+        write_manifest(tmp_path, "train", ds.task, ds.train)
+        example = ds.train[0]
+        names = ("img.f32grid", "seg.f32grid", "tgt.f32grid")
+        records = (example.image.values, example.seg.label_map.astype(float), example.targets)
+        for name, values in zip(names, records):
+            write_f32grid(tmp_path / name, values)
+        (tmp_path / "train.manifest").write_text(f"task={ds.task}\n{' '.join(names)}\n")
+        with pytest.raises(ValueError, match="regenerate the dataset with `ccrf synth`"):
+            read_manifest(tmp_path / "train.manifest")
+
+    @pytest.mark.parametrize("records", [2, 4])
+    def test_read_rejects_an_example_file_with_the_wrong_record_count(self, tmp_path, records):
+        ds = small_dataset(count=2)
+        write_manifest(tmp_path, "train", ds.task, ds.train)
+        path = tmp_path / "train_0000.f32grids"
+        arrays = read_f32grids(path, 3)
+        write_f32grids(path, (arrays * 2)[:records])
+        with pytest.raises(ValueError, match="grid records"):
+            read_manifest(tmp_path / "train.manifest")
+
+    def test_read_rejects_trailing_bytes_in_an_example_file(self, tmp_path):
+        ds = small_dataset(count=2)
+        write_manifest(tmp_path, "train", ds.task, ds.train)
+        path = tmp_path / "train_0000.f32grids"
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="1 bytes after 3 grid records"):
+            read_manifest(tmp_path / "train.manifest")
 
     def test_write_then_read_relative_paths(self, tmp_path):
         ds = small_dataset(count=2)

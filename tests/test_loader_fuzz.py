@@ -51,17 +51,24 @@ def test_f32grid(tmp_path):
     fuzz(path, read_f32grid, seed=2)
 
 
-def test_manifest(tmp_path):
-    rng = np.random.default_rng(3)
+def tiny_examples(rng, count):
     label_map = np.repeat([0, 1], 32).reshape(8, 8)
-    examples = [
+    return [
         LabeledExample(
             ImageGrid(rng.uniform(0.0, 1.0, (8, 8))),
             SuperpixelSegmentation(label_map, 2),
             np.eye(2),
             "segmentation",
         )
-        for _ in range(2)
+        for _ in range(count)
     ]
-    write_manifest(tmp_path, "train", "segmentation", examples)
+
+
+def test_manifest(tmp_path):
+    write_manifest(tmp_path, "train", "segmentation", tiny_examples(np.random.default_rng(3), 2))
     fuzz(tmp_path / "train.manifest", read_manifest, seed=4)
+
+
+def test_example_file(tmp_path):
+    write_manifest(tmp_path, "train", "segmentation", tiny_examples(np.random.default_rng(5), 1))
+    fuzz(tmp_path / "train_0000.f32grids", lambda _: read_manifest(tmp_path / "train.manifest"), seed=6)

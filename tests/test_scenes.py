@@ -18,7 +18,7 @@ from ccrf.scenes import (
     normalize_depth_map,
 )
 
-from helpers import reference_class_votes, reference_pool_features
+from helpers import reference_class_votes, reference_pool_features, reference_shape_mask
 
 
 def seg_spec(**kw):
@@ -277,3 +277,73 @@ class TestNodeTargetOracles:
             ex = gen_depth_scene(depth_spec(size=size, seed=seed, target_nodes=30))
             expected = reference_pool_features(dense[-1][:, :, None], ex.seg)
             assert np.array_equal(ex.targets, expected)
+
+
+def record_shapes(monkeypatch):
+    """Record the arguments of every ``scenes._shape_mask`` call."""
+    shapes = []
+    real = scenes._shape_mask
+
+    def wrapper(size, *shape):
+        shapes.append((size, *shape))
+        return real(size, *shape)
+
+    monkeypatch.setattr(scenes, "_shape_mask", wrapper)
+    return shapes
+
+
+def assert_shapes_cover_edge_cases(shapes):
+    """Both kinds occur, and some shape crosses each of the four borders."""
+    assert {int(kind) for _, kind, *_ in shapes} == {0, 1}
+    crossed = set()
+    for size, _, cy, cx, ry, rx in shapes:
+        sides = {"top": cy - ry < 0, "bottom": cy + ry > size - 1, "left": cx - rx < 0, "right": cx + rx > size - 1}
+        crossed |= {side for side, hit in sides.items() if hit}
+    assert crossed == {"top", "bottom", "left", "right"}
+
+
+# (size, shape_count) per seed, cycled: a 33 px case with 40 shapes and the
+# benchmark's 64 px segmentation and 96 px depth sizes
+BOX_CASES = [(33, 40), (64, 6), (96, 24)]
+BOX_SEEDS = range(201)
+
+
+class TestBoxMasks:
+    """Shapes drawn through their bounding box equal the draws from the full-grid formula."""
+
+    def test_segmentation_draws_match_full_grid_oracle(self, monkeypatch):
+        def draws():
+            return [
+                scenes._draw_shapes(np.random.default_rng(seed), *BOX_CASES[seed % 3], 5)
+                for seed in BOX_SEEDS
+            ]
+
+        with monkeypatch.context() as patch:
+            shapes = record_shapes(patch)
+            boxed = draws()
+        assert len(shapes) == sum(BOX_CASES[seed % 3][1] for seed in BOX_SEEDS)
+        assert_shapes_cover_edge_cases(shapes)
+        monkeypatch.setattr(scenes, "_shape_mask", reference_shape_mask)
+        for got, expected in zip(boxed, draws(), strict=True):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_depth_scenes_match_full_grid_oracle(self, monkeypatch):
+        dense = spy(monkeypatch, "normalize_depth_map")
+        specs = [
+            depth_spec(size=size, shape_count=count, seed=seed, target_nodes=30)
+            for seed in BOX_SEEDS
+            for size, count in [BOX_CASES[seed % 3]]
+        ]
+
+        def draws():
+            return [(gen_depth_scene(spec), dense[-1]) for spec in specs]
+
+        with monkeypatch.context() as patch:
+            shapes = record_shapes(patch)
+            boxed = draws()
+        assert_shapes_cover_edge_cases(shapes)
+        monkeypatch.setattr(scenes, "_shape_mask", reference_shape_mask)
+        for (got, got_depth), (expected, expected_depth) in zip(boxed, draws(), strict=True):
+            assert got_depth.tobytes() == expected_depth.tobytes()
+            assert got.image.values.tobytes() == expected.image.values.tobytes()
+            assert got.targets.tobytes() == expected.targets.tobytes()
