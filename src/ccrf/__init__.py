@@ -9,21 +9,18 @@ from .crf import (
     PrecisionSystem,
     Workspace,
     assemble,
-    energy,
     map_backward,
     map_infer,
     nll,
     nll_backward,
 )
 from .datasets import Dataset, LabeledExample, load_dataset, save_dataset
-from .gridio import read_f32grid, read_f32grids, write_f32grid, write_f32grids
+from .gridio import read_f32grids, write_f32grids
 from .graph import (
     ImageGrid,
     NodeGraph,
     SuperpixelSegmentation,
     build_graph,
-    compute_centroids,
-    compute_pixel_features,
     grid_segment,
     pool_features,
 )

@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-from .datasets import SPLIT_MANIFESTS, Dataset, load_dataset, read_manifest, save_dataset
+from .datasets import Dataset, load_dataset, save_dataset
 from .gridio import atomic_open
 from .losses import LOSS_KINDS, LossSpec
 from .networks import load_checkpoint, save_checkpoint
@@ -232,14 +232,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
-    task, test = read_manifest(os.path.join(args.data, SPLIT_MANIFESTS["test"]))
-    examples = prepare_examples(test)
+    dataset = load_dataset(args.data, ("test",))
+    examples = prepare_examples(dataset.test)
     if not examples:
         raise ValueError(f"{args.data}: test split is empty")
-    keys = _TASKS[task].metrics
+    keys = _TASKS[dataset.task].metrics
     rows = []
     for variant, unary_only in (("unary", True), ("full", False)):
-        scores = evaluate(model, examples, task, unary_only=unary_only)
+        scores = evaluate(model, examples, dataset.task, unary_only=unary_only)
         rows.append([variant] + [_fmt_metric(scores[key]) for key in keys])
     config = {"ckpt": args.ckpt, "data": args.data}
     run_dir, run_id = _run_dir(args.out, "eval", config)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dsymm, dsymv, dsyr2k, dtrmm
+from scipy.linalg.blas import dsymm, dsymv, dsyr2k, dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 _SYMMETRY_TOL = 1e-12
@@ -328,16 +328,6 @@ def _check_scores(system: PrecisionSystem, scores: np.ndarray, name: str) -> np.
 def map_infer(system: PrecisionSystem, scores: np.ndarray) -> np.ndarray:
     """Energy-minimizing labelling: the unique solution of A0 Y = Z."""
     return system.solve(_check_scores(system, scores, "scores"))
-
-
-def energy(system: PrecisionSystem, scores: np.ndarray, labelling: np.ndarray) -> float:
-    """Quadratic labelling energy tr(Y'A0 Y) - 2 tr(Z'Y) + tr(Z'Z)."""
-    z = _check_scores(system, scores, "scores")
-    y = _check_scores(system, labelling, "labelling")
-    if y.shape != z.shape:
-        raise ValueError(f"labelling {y.shape} does not match scores {z.shape}")
-    a0y = dgemm(1.0, system.a0.T, y, trans_a=1)
-    return float((y * a0y).sum() - 2.0 * (z * y).sum() + (z * z).sum())
 
 
 def _gaussian_nll(v: np.ndarray, logdet_a0: float) -> float:

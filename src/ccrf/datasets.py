@@ -140,5 +140,5 @@ def load_dataset(directory, splits=tuple(SPLIT_MANIFESTS)) -> Dataset:
             raise ValueError(f"{directory}: split manifests disagree on the task")
         loaded[split] = examples
     if task is None:
-        raise ValueError(f"{directory}: no dataset manifests found")
+        raise ValueError(f"{directory}: no {'/'.join(splits)} manifest found")
     return Dataset(task, loaded["train"], loaded["val"], loaded["test"])

@@ -125,19 +125,15 @@ def grid_segment(image: ImageGrid, target_count: int) -> SuperpixelSegmentation:
     return SuperpixelSegmentation(label_map, rows * cols)
 
 
-def compute_pixel_features(image: ImageGrid) -> np.ndarray:
-    """Per-pixel descriptors, shape (H, W, 2*channels + 4).
+def _pixel_planes(image: ImageGrid) -> np.ndarray:
+    """Channel-first (2*channels + 6, H, W) stack of per-pixel planes.
 
     Layout: raw intensities, 3x3 box-smoothed intensities, horizontal and
-    vertical gradient magnitudes of the mean intensity, and row/column
-    coordinates normalized to [0, 1].  The result is a strided view.
+    vertical gradient magnitudes of the mean intensity, row/column
+    coordinates normalized to [0, 1] (these 2*channels + 4 planes are the
+    pixel features ``build_graph`` pools), then raw row and column
+    coordinates, which pool into the centroids.
     """
-    return _pixel_planes(image)[:-2].transpose(1, 2, 0)
-
-
-def _pixel_planes(image: ImageGrid) -> np.ndarray:
-    """Channel-first (2*channels + 6, H, W) stack: the planes of
-    ``compute_pixel_features``, then raw row and column coordinates."""
     height, width, c = image.values.shape
     planes = np.empty((2 * c + 6, height, width))
     planes[:c] = image.values.transpose(2, 0, 1)
@@ -183,13 +179,6 @@ def pool_features(pixel_features: np.ndarray, seg: SuperpixelSegmentation) -> np
             f"feature map {pixel_features.shape} does not cover segmentation {seg.shape}"
         )
     return _node_means(pixel_features.transpose(2, 0, 1), seg)
-
-
-def compute_centroids(seg: SuperpixelSegmentation) -> np.ndarray:
-    """Mean (row, col) per node, normalized by (height-1, width-1)."""
-    height, width = seg.shape
-    coordinates = np.indices((height, width), dtype=np.float64)
-    return _node_means(coordinates, seg) / [height - 1, width - 1]
 
 
 def build_graph(image: ImageGrid, seg: SuperpixelSegmentation) -> NodeGraph:

@@ -1,9 +1,8 @@
 """Raw binary grid files, and the atomic writes every artifact goes through.
 
 A grid record is a little-endian header of three u32 values (height,
-width, channels) followed by row-major float32 data.  A ``.f32grid`` file
-holds one record; a dataset's example file holds its image, segmentation
-and target records back to back.
+width, channels) followed by row-major float32 data.  A dataset's example
+file holds its image, segmentation and target records back to back.
 """
 
 from __future__ import annotations
@@ -78,12 +77,3 @@ def read_f32grids(path, count: int) -> list:
         raise ValueError(f"{path}: {len(data) - offset} bytes after {count} grid records")
     return arrays
 
-
-def write_f32grid(path, values) -> None:
-    """Write a 2-D or 3-D array as a raw float32 grid."""
-    write_f32grids(path, [values])
-
-
-def read_f32grid(path) -> np.ndarray:
-    """Read a raw float32 grid as float64, squeezing a lone channel axis."""
-    return read_f32grids(path, 1)[0]

@@ -94,12 +94,12 @@ def mlp_forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
 
 def mlp_backward(
     mlp: Mlp, cache: MlpCache, dout: np.ndarray, out=None
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Exact reverse-mode pass.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact reverse-mode pass to the parameters.
 
-    Returns the gradient with respect to the input batch and a per-layer
-    list of (dW, db), written into the arrays of ``out``, a list of the
-    same shape, when given.  The rectifier subgradient at 0 is taken as 0.
+    Returns a per-layer list of (dW, db), written into the arrays of
+    ``out``, a list of the same shape, when given.  The input batch gets
+    no gradient.  The rectifier subgradient at 0 is taken as 0.
     """
     grad = np.asarray(dout, dtype=np.float64)
     last = len(mlp.weights) - 1
@@ -115,8 +115,9 @@ def mlp_backward(
             np.matmul(cache.inputs[i].T, dpre, out=dw),
             np.add.reduce(dpre, axis=0, out=db),
         )
-        grad = dpre @ mlp.weights[i].T
-    return grad, param_grads
+        if i:
+            grad = dpre @ mlp.weights[i].T
+    return param_grads
 
 
 def unary_forward(mlp: Mlp, graph) -> tuple[np.ndarray, MlpCache]:
@@ -177,7 +178,7 @@ def pairwise_backward(
     dembed, dbeta = gaussian_backward(
         cache.kernel, daffinity, cache.embeddings, cache.beta, work=work
     )
-    _, embed_grads = mlp_backward(pair.embed, cache.mlp_cache, dembed, out)
+    embed_grads = mlp_backward(pair.embed, cache.mlp_cache, dembed, out)
     return embed_grads, dbeta * float(sigmoid(pair.beta_raw))
 
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 from scipy import ndimage
+from scipy.linalg.blas import dgemm
 
-from ccrf import NodeGraph, SuperpixelSegmentation, assemble, mlp_backward
+from ccrf import ImageGrid, NodeGraph, SuperpixelSegmentation, assemble, build_graph, mlp_backward
+from ccrf.crf import _check_scores
 from ccrf.gridio import read_f32grids, write_f32grids
 from ccrf.networks import sigmoid
 
@@ -84,6 +86,16 @@ def model_param_fd(model, loss_fn, step=1e-5):
     return out
 
 
+def energy(system, scores, labelling):
+    """Quadratic labelling energy tr(Y'A0 Y) - 2 tr(Z'Y) + tr(Z'Z)."""
+    z = _check_scores(system, scores, "scores")
+    y = _check_scores(system, labelling, "labelling")
+    if y.shape != z.shape:
+        raise ValueError(f"labelling {y.shape} does not match scores {z.shape}")
+    a0y = dgemm(1.0, system.a0.T, y, trans_a=1)
+    return float((y * a0y).sum() - 2.0 * (z * y).sum() + (z * z).sum())
+
+
 def reference_nll_backward(system, scores, targets):
     """Likelihood gradients through an explicit inverse, unfused: the oracle
     for ``nll_backward``."""
@@ -116,7 +128,7 @@ def reference_pairwise_backward(pair, cache, daffinity):
     weighted *= cache.beta
     s = cache.embeddings
     dembed = -2.0 * (weighted.sum(axis=1)[:, None] * s - weighted @ s)
-    _, grads = mlp_backward(pair.embed, cache.mlp_cache, dembed)
+    grads = mlp_backward(pair.embed, cache.mlp_cache, dembed)
     return grads, dbeta_raw
 
 
@@ -127,9 +139,22 @@ def _reference_affinity_grad(da0):
     return daff
 
 
+def pixel_features(image):
+    """Per-pixel descriptors, shape (H, W, F): ``build_graph``'s node
+    features on a segmentation with one node per pixel."""
+    height, width = image.height, image.width
+    seg = SuperpixelSegmentation(np.arange(height * width).reshape(height, width), height * width)
+    return build_graph(image, seg).features.reshape(height, width, -1)
+
+
+def graph_centroids(seg):
+    """``build_graph``'s node centroids for ``seg``, on a blank image."""
+    return build_graph(ImageGrid(np.zeros(seg.shape)), seg).centroids
+
+
 def reference_pixel_features(image):
     """Per-pixel descriptors from a channel-last box filter, ``np.gradient``
-    and ``np.indices``: the oracle for ``compute_pixel_features``."""
+    and ``np.indices``: the oracle for ``build_graph``'s pixel features."""
     values = image.values
     height, width, _ = values.shape
     smoothed = ndimage.uniform_filter(values, size=(3, 3, 1), mode="nearest")
@@ -160,7 +185,7 @@ def reference_pool_features(pixel_features, seg):
 
 def reference_centroids(seg):
     """Mean (row, col) per node from one bincount per coordinate: the
-    oracle for ``compute_centroids``."""
+    oracle for ``build_graph``'s centroids."""
     height, width = seg.shape
     labels = seg.label_map.ravel()
     counts = np.bincount(labels, minlength=seg.n).astype(np.float64)

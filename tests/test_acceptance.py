@@ -20,7 +20,6 @@ from ccrf import (
     assemble,
     build_model,
     corrupt_dataset,
-    energy,
     evaluate,
     forward_loss,
     map_backward,
@@ -42,7 +41,14 @@ from ccrf.networks import (
     unary_forward,
 )
 
-from helpers import central_diff, grad_rel_err, random_affinity, random_graph, model_param_fd
+from helpers import (
+    central_diff,
+    energy,
+    grad_rel_err,
+    model_param_fd,
+    random_affinity,
+    random_graph,
+)
 
 
 def report(line):
@@ -195,7 +201,7 @@ def _check_network_grads(rng, step):
 
     w = rng.standard_normal((n, m))
     _, cache = unary_forward(model.unary, graph)
-    _, grads = mlp_backward(model.unary, cache, w)
+    grads = mlp_backward(model.unary, cache, w)
     analytic = [g for pair in grads for g in pair]
 
     def unary_loss():

@@ -505,6 +505,16 @@ class TestEval:
                 fh.write("not a manifest\n")
         assert cli.main(["eval", "--ckpt", ckpt, "--data", data, "--out", str(tmp_path / "out")]) == 0
 
+    def test_missing_test_manifest_is_a_data_error(self, tmp_path, capsys):
+        data, ckpt = self.trained_run(tmp_path, seg_config(tmp_path))
+        os.remove(os.path.join(data, "test.manifest"))
+        capsys.readouterr()
+        code = cli.main(["eval", "--ckpt", ckpt, "--data", data, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "test manifest" in err[0]
+        assert not os.path.exists(tmp_path / "out")
+
     def test_empty_test_split(self, tmp_path):
         no_test = seg_config(
             tmp_path, name="no_test.cfg", count=2, train_frac="1.0", val_frac="0.0"

@@ -3,7 +3,6 @@ import pytest
 
 from ccrf import (
     assemble,
-    energy,
     map_backward,
     map_infer,
     nll,
@@ -13,6 +12,7 @@ from ccrf.crf import NonFiniteAffinityError, Workspace, _outer_sum, _stacked, un
 
 from helpers import (
     central_diff,
+    energy,
     grad_rel_err,
     random_affinity,
     reference_map_backward,

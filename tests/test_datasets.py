@@ -10,7 +10,6 @@ from ccrf import (
     load_dataset,
     save_dataset,
     synth_dataset,
-    write_f32grid,
 )
 from ccrf.datasets import read_manifest, write_manifest
 from ccrf.gridio import read_f32grids, write_f32grids
@@ -152,7 +151,7 @@ class TestManifestFormat:
         names = ("img.f32grid", "seg.f32grid", "tgt.f32grid")
         records = (example.image.values, example.seg.label_map.astype(float), example.targets)
         for name, values in zip(names, records):
-            write_f32grid(tmp_path / name, values)
+            write_f32grids(tmp_path / name, [values])
         (tmp_path / "train.manifest").write_text(f"task={ds.task}\n{' '.join(names)}\n")
         with pytest.raises(ValueError, match="regenerate the dataset with `ccrf synth`"):
             read_manifest(tmp_path / "train.manifest")

@@ -5,14 +5,14 @@ from ccrf import (
     ImageGrid,
     SuperpixelSegmentation,
     build_graph,
-    compute_centroids,
-    compute_pixel_features,
     grid_segment,
     pool_features,
 )
 
 from helpers import (
     connectivity_violations,
+    graph_centroids,
+    pixel_features,
     reference_centroids,
     reference_pixel_features,
     reference_pool_features,
@@ -98,12 +98,12 @@ class TestGridSegment:
 
 class TestPixelFeatures:
     def test_feature_count(self):
-        assert compute_pixel_features(constant_image(channels=1)).shape[2] == 6
+        assert pixel_features(constant_image(channels=1)).shape[2] == 6
         img3 = ImageGrid(np.zeros((8, 8, 3)))
-        assert compute_pixel_features(img3).shape[2] == 10
+        assert pixel_features(img3).shape[2] == 10
 
     def test_constant_image(self):
-        feats = compute_pixel_features(constant_image(value=0.3))
+        feats = pixel_features(constant_image(value=0.3))
         assert np.allclose(feats[:, :, 0], 0.3)  # raw intensity
         assert np.allclose(feats[:, :, 1], 0.3)  # smoothing preserves constants
         assert np.allclose(feats[:, :, 2], 0.0)  # zero gradients
@@ -112,7 +112,7 @@ class TestPixelFeatures:
     def test_vertical_edge_peaks_horizontal_gradient(self):
         values = np.zeros((10, 10))
         values[:, 5:] = 1.0
-        feats = compute_pixel_features(ImageGrid(values))
+        feats = pixel_features(ImageGrid(values))
         horizontal = feats[:, :, 2]
         vertical = feats[:, :, 3]
         for row in range(10):
@@ -120,7 +120,7 @@ class TestPixelFeatures:
         assert np.allclose(vertical, 0.0)
 
     def test_coordinates_normalized(self):
-        feats = compute_pixel_features(constant_image(9, 17))
+        feats = pixel_features(constant_image(9, 17))
         assert feats[0, 0, 4] == 0.0 and feats[8, 0, 4] == 1.0
         assert feats[0, 0, 5] == 0.0 and feats[0, 16, 5] == 1.0
         assert np.isfinite(feats).all()
@@ -130,7 +130,7 @@ class TestPooling:
     def test_constant_features_pool_to_constant(self):
         img = constant_image(16, 16, 0.25)
         seg = grid_segment(img, 4)
-        pooled = pool_features(compute_pixel_features(img), seg)
+        pooled = pool_features(pixel_features(img), seg)
         # intensity-derived channels agree everywhere; coordinates differ per node
         assert np.allclose(pooled[:, :4], pooled[0, :4])
 
@@ -160,7 +160,7 @@ class TestPooling:
         rng = np.random.default_rng(5)
         img = ImageGrid(rng.uniform(0, 1, (24, 24, 3)))
         seg = grid_segment(img, 9)
-        feats = compute_pixel_features(img)
+        feats = pixel_features(img)
         pooled = pool_features(feats, seg)
         assert (pooled >= feats.reshape(-1, feats.shape[2]).min(axis=0) - 1e-12).all()
         assert (pooled <= feats.reshape(-1, feats.shape[2]).max(axis=0) + 1e-12).all()
@@ -180,12 +180,12 @@ class TestPooling:
 class TestCentroids:
     def test_whole_image_node(self):
         seg = SuperpixelSegmentation(np.zeros((9, 9), dtype=int), 1)
-        assert np.allclose(compute_centroids(seg), [[0.5, 0.5]])
+        assert np.allclose(graph_centroids(seg), [[0.5, 0.5]])
 
     def test_grid_block_centroid(self):
         # 10x10 blocks on 100x100: first block center at (4.5/99, 4.5/99)
         seg = grid_segment(constant_image(100, 100), 100)
-        centroids = compute_centroids(seg)
+        centroids = graph_centroids(seg)
         assert np.allclose(centroids[0], [4.5 / 99, 4.5 / 99])
         assert centroids.min() >= 0.0 and centroids.max() <= 1.0
 
@@ -222,15 +222,15 @@ class TestReductionOracles:
         rng = np.random.default_rng(shape[1] + shape[2])
         img = ImageGrid(rng.uniform(0, 1, shape))
         seg = segment(img, self.BENCHMARK_NODES.get(shape[0], 20))
-        feats = compute_pixel_features(img)
+        feats = pixel_features(img)
         reference = reference_pixel_features(img)
         assert np.array_equal(feats, reference)
         assert np.array_equal(pool_features(feats, seg), reference_pool_features(feats, seg))
-        # a strided view pools to the same bits as a contiguous copy
+        # an F-ordered copy pools to the same bits as a C-ordered one
         assert np.array_equal(
-            pool_features(feats, seg), pool_features(np.ascontiguousarray(feats), seg)
+            pool_features(feats, seg), pool_features(np.asfortranarray(feats), seg)
         )
-        assert np.array_equal(compute_centroids(seg), reference_centroids(seg))
+        assert np.array_equal(graph_centroids(seg), reference_centroids(seg))
         graph = build_graph(img, seg)
         assert np.array_equal(graph.features, reference_pool_features(reference, seg))
         assert np.array_equal(graph.centroids, reference_centroids(seg))

@@ -8,7 +8,7 @@ from ccrf import build_model, gridio, save_checkpoint
 from ccrf.cli import _write_run_manifest, _write_table
 from ccrf.datasets import LabeledExample, write_manifest
 from ccrf.graph import ImageGrid, SuperpixelSegmentation
-from ccrf.gridio import atomic_open, read_f32grid, read_f32grids, write_f32grid, write_f32grids
+from ccrf.gridio import atomic_open, read_f32grids, write_f32grids
 from ccrf.svgplot import line_plot
 from ccrf.training import EpochRecord, TrainHistory
 
@@ -16,8 +16,8 @@ from ccrf.training import EpochRecord, TrainHistory
 def test_f32grid_roundtrip_2d(tmp_path):
     path = tmp_path / "a.f32grid"
     values = np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0
-    write_f32grid(path, values)
-    back = read_f32grid(path)
+    write_f32grids(path, [values])
+    back = read_f32grids(path, 1)[0]
     assert back.shape == (3, 4)
     assert np.allclose(back, values, atol=1e-7)
 
@@ -25,8 +25,8 @@ def test_f32grid_roundtrip_2d(tmp_path):
 def test_f32grid_roundtrip_3d(tmp_path):
     path = tmp_path / "b.f32grid"
     values = np.linspace(0, 1, 2 * 3 * 3).reshape(2, 3, 3)
-    write_f32grid(path, values)
-    back = read_f32grid(path)
+    write_f32grids(path, [values])
+    back = read_f32grids(path, 1)[0]
     assert back.shape == (2, 3, 3)
     assert np.allclose(back, values, atol=1e-7)
 
@@ -34,7 +34,7 @@ def test_f32grid_roundtrip_3d(tmp_path):
 def test_f32grid_header_layout(tmp_path):
     # little-endian u32 height, width, channels, then row-major float32
     path = tmp_path / "c.f32grid"
-    write_f32grid(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
+    write_f32grids(path, [np.array([[1.0, 2.0], [3.0, 4.0]])])
     raw = path.read_bytes()
     assert struct.unpack("<III", raw[:12]) == (2, 2, 1)
     assert np.frombuffer(raw[12:], dtype="<f4").tolist() == [1.0, 2.0, 3.0, 4.0]
@@ -42,15 +42,15 @@ def test_f32grid_header_layout(tmp_path):
 
 def test_f32grid_rejects_truncation(tmp_path):
     path = tmp_path / "d.f32grid"
-    write_f32grid(path, np.ones((4, 4)))
+    write_f32grids(path, [np.ones((4, 4))])
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
-        read_f32grid(path)
+        read_f32grids(path, 1)
 
 
 def test_f32grid_rejects_bad_rank(tmp_path):
     with pytest.raises(ValueError):
-        write_f32grid(tmp_path / "e.f32grid", np.ones(5))
+        write_f32grids(tmp_path / "e.f32grid", [np.ones(5)])
 
 
 def _records():
@@ -72,7 +72,7 @@ def test_f32grids_roundtrip_2d_and_3d(tmp_path):
 def test_f32grids_are_f32grid_records_back_to_back(tmp_path):
     records = _records()
     for i, values in enumerate(records):
-        write_f32grid(tmp_path / f"{i}.f32grid", values)
+        write_f32grids(tmp_path / f"{i}.f32grid", [values])
     write_f32grids(tmp_path / "both.f32grids", records)
     single = [(tmp_path / f"{i}.f32grid").read_bytes() for i in range(2)]
     assert (tmp_path / "both.f32grids").read_bytes() == b"".join(single)
@@ -130,7 +130,7 @@ _HISTORY = TrainHistory("rmse", [EpochRecord(0, 1.5, 0.25, 1.0, 0.5)])
 # every artifact writer, each writing into a directory
 WRITERS = {
     "checkpoint": lambda d: save_checkpoint(d / "checkpoint.ccrf", _MODEL),
-    "grid": lambda d: write_f32grid(d / "a.f32grid", np.arange(6.0).reshape(2, 3)),
+    "grid": lambda d: write_f32grids(d / "a.f32grid", [np.arange(6.0).reshape(2, 3)]),
     "history": lambda d: _HISTORY.write_csv(d / "history.csv"),
     "svg": lambda d: line_plot(d / "plot.svg", [("a", [0, 1], [2.0, 3.0])]),
     "split_manifest": lambda d: write_manifest(d, "train", "depth", []),

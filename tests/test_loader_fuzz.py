@@ -8,7 +8,7 @@ raises ValueError, which the CLI turns into exit code 2.
 import numpy as np
 import pytest
 
-from ccrf import build_model, load_checkpoint, read_f32grid, save_checkpoint, write_f32grid
+from ccrf import build_model, load_checkpoint, read_f32grids, save_checkpoint, write_f32grids
 from ccrf.datasets import LabeledExample, read_manifest, write_manifest
 from ccrf.graph import ImageGrid, SuperpixelSegmentation
 
@@ -47,8 +47,8 @@ def test_checkpoint(tmp_path):
 
 def test_f32grid(tmp_path):
     path = tmp_path / "tiny.f32grid"
-    write_f32grid(path, np.linspace(0.0, 1.0, 24).reshape(2, 4, 3))
-    fuzz(path, read_f32grid, seed=2)
+    write_f32grids(path, [np.linspace(0.0, 1.0, 24).reshape(2, 4, 3)])
+    fuzz(path, lambda p: read_f32grids(p, 1), seed=2)
 
 
 def tiny_examples(rng, count):
