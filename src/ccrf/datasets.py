@@ -32,11 +32,8 @@ class LabeledExample:
     image: ImageGrid
     seg: SuperpixelSegmentation
     targets: np.ndarray  # (n, m) one-hot rows or (n, 1) regression values
-    task: str
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
         targets = np.asarray(self.targets, dtype=np.float64)
         if targets.ndim != 2 or targets.shape[0] != self.seg.n:
             raise ValueError(
@@ -55,6 +52,10 @@ class Dataset:
     train: list = field(default_factory=list)
     val: list = field(default_factory=list)
     test: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.task not in TASKS:
+            raise ValueError(f"unknown task {self.task!r}")
 
     def split(self, name: str) -> list:
         if name not in SPLIT_MANIFESTS:
@@ -113,7 +114,7 @@ def read_manifest(path) -> tuple[str, list]:
                 )
             label_map = seg_values.astype(np.int64)
             seg = SuperpixelSegmentation(label_map, int(label_map.max()) + 1)
-            examples.append(LabeledExample(ImageGrid(img), seg, targets, task))
+            examples.append(LabeledExample(ImageGrid(img), seg, targets))
     if task is None:
         raise ValueError(f"{path}: manifest has no task tag")
     return task, examples

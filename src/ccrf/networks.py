@@ -16,7 +16,6 @@ exact reverse-mode backward passes need.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -25,7 +24,7 @@ import numpy as np
 from .crf import Workspace, gaussian_affinity, gaussian_backward
 from .gridio import atomic_open
 
-CHECKPOINT_MAGIC = b"CCRF1"
+CHECKPOINT_MAGIC = b"CCRF2"
 
 
 def softplus(x):
@@ -257,83 +256,55 @@ def build_model(
     return Model(unary, PairwiseNet(embed, beta_raw, float(gamma)))
 
 
-def _write_tensor(fh, name: str, values: np.ndarray) -> None:
-    encoded = name.encode("utf-8")
-    arr = np.asarray(values, dtype=np.float64)
-    fh.write(struct.pack("<I", len(encoded)))
-    fh.write(encoded)
-    fh.write(struct.pack("<I", arr.ndim))
-    for dim in arr.shape:
-        fh.write(struct.pack("<I", dim))
-    fh.write(arr.astype("<f8").tobytes())
-
-
 def save_checkpoint(path, model: Model) -> None:
-    """Serialize every tensor plus the fixed hyperparameters."""
+    """Write the magic, each net's layer widths, ``gamma``, then ``model.flat``."""
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        for name, values in model.parameters().items():
-            _write_tensor(fh, name, values)
-        _write_tensor(fh, "pair.gamma", np.array(model.pairwise.gamma))
-
-
-def _read_exact(fh, count: int, size: int) -> bytes:
-    # bounded by the bytes left in the file, so a corrupt length or shape
-    # is a ValueError rather than a huge allocation
-    if count > size - fh.tell():
-        raise ValueError("truncated checkpoint")
-    return fh.read(count)
+        for mlp in (model.unary, model.pairwise.embed):
+            widths = [mlp.input_dim, *(w.shape[1] for w in mlp.weights)]
+            fh.write(struct.pack(f"<{len(widths) + 1}I", len(widths), *widths))
+        fh.write(struct.pack("<d", model.pairwise.gamma))
+        fh.write(model.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild a model from its checkpoint container."""
-    tensors: dict[str, np.ndarray] = {}
+    """Rebuild a model from its checkpoint: the widths size zero-filled
+    nets, and ``Model``, the owner of the parameter layout, places the payload."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise ValueError("truncated checkpoint")
-            (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len, size).decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, size))
-            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, size))
-            data = np.frombuffer(_read_exact(fh, 8 * math.prod(shape), size), dtype="<f8")
-            if not np.isfinite(data).all():
-                raise ValueError(f"checkpoint tensor '{name}' is not finite")
-            tensors[name] = data.reshape(shape)
+            raise ValueError(f"{path}: not a CCRF2 checkpoint; retrain models saved before it")
+        # one read bounded by the file, so no header field sizes a buffer
+        data = fh.read()
+    offset = 0
 
-    def collect(prefix: str) -> Mlp:
-        weights, biases = [], []
-        for i in range(len(tensors)):
-            w, b = tensors.get(f"{prefix}.w{i}"), tensors.get(f"{prefix}.b{i}")
-            if w is None and b is None:
-                break
-            if w is None or b is None:
-                raise ValueError(f"checkpoint layer {prefix} {i} lacks its weight or bias")
-            chained = not weights or weights[-1].shape[1] == w.shape[0]
-            if w.ndim != 2 or b.shape != w.shape[1:] or not chained:
-                raise ValueError(
-                    f"checkpoint layer {prefix} {i} has weight {w.shape} and bias {b.shape}"
-                )
-            weights.append(w)
-            biases.append(b)
-        if not weights:
-            raise ValueError(f"checkpoint holds no '{prefix}' layers")
-        return Mlp(weights, biases)
+    def take(fmt: str) -> tuple:
+        nonlocal offset
+        size = struct.calcsize(fmt)
+        if size > len(data) - offset:
+            raise ValueError("truncated checkpoint")
+        offset += size
+        return struct.unpack_from(fmt, data, offset - size)
 
-    for required in ("pair.beta_raw", "pair.gamma"):
-        if required not in tensors:
-            raise ValueError(f"checkpoint is missing tensor '{required}'")
-        if tensors[required].shape != ():
-            raise ValueError(f"checkpoint tensor '{required}' must be a scalar")
-    pairwise = PairwiseNet(
-        collect("pair"),
-        np.array(float(tensors["pair.beta_raw"]), dtype=np.float64),
-        float(tensors["pair.gamma"]),
+    nets = []
+    for name in ("unary", "pair"):
+        (count,) = take("<I")
+        widths = take(f"<{count}I")
+        if count < 2 or min(widths) < 1:
+            raise ValueError(f"checkpoint net '{name}' needs 2+ layer widths >= 1, got {widths}")
+        nets.append(widths)
+    (gamma,) = take("<d")
+    values = sum(a * b + b for widths in nets for a, b in zip(widths, widths[1:])) + 1  # + beta_raw
+    if len(data) - offset != 8 * values:
+        raise ValueError(
+            f"checkpoint has {len(data) - offset} parameter bytes; its widths need {8 * values}"
+        )
+    unary, embed = (
+        Mlp([np.zeros((a, b)) for a, b in zip(w, w[1:])], [np.zeros(b) for b in w[1:]])
+        for w in nets
     )
-    return Model(collect("unary"), pairwise)
+    model = Model(unary, PairwiseNet(embed, np.zeros(()), gamma))
+    model.flat[:] = np.frombuffer(data, dtype="<f8", offset=offset)
+    for name, value in model.parameters().items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"checkpoint tensor '{name}' is not finite")
+    return model

@@ -138,7 +138,7 @@ def gen_segmentation_scene(spec: SyntheticSceneSpec) -> LabeledExample:
         if spec.shape_count == 0 or len(np.unique(node_class)) >= 2:
             targets = np.zeros((seg.n, spec.classes))
             targets[np.arange(seg.n), node_class] = 1.0
-            return LabeledExample(image, seg, targets, "segmentation")
+            return LabeledExample(image, seg, targets)
     raise RuntimeError(f"could not draw two classes for seed {spec.seed}")
 
 
@@ -209,7 +209,7 @@ def gen_depth_scene(spec: SyntheticSceneSpec) -> LabeledExample:
         shading = shading + rng.normal(0.0, spec.noise_level, size=shading.shape)
     image = ImageGrid(np.clip(shading, 0.0, 1.0))
     seg = grid_segment(image, spec.target_nodes)
-    return LabeledExample(image, seg, pool_features(depth[:, :, None], seg), "depth")
+    return LabeledExample(image, seg, pool_features(depth[:, :, None], seg))
 
 
 def gen_scene(spec: SyntheticSceneSpec) -> LabeledExample:
@@ -270,7 +270,7 @@ def corrupt_dataset(dataset: Dataset, spec: CorruptionSpec, seed: int) -> Datase
         out = []
         for ex in examples:
             targets = apply_corruption(ex.targets, spec, rng)
-            out.append(LabeledExample(ex.image, ex.seg, targets, ex.task))
+            out.append(LabeledExample(ex.image, ex.seg, targets))
         return out
 
     return Dataset(

@@ -449,26 +449,29 @@ class TestEval:
     def test_checkpoint_shape_beyond_file_is_a_data_error(self, tmp_path, capsys):
         data = synth_into(tmp_path, seg_config(tmp_path))
         ckpt = tmp_path / "huge.ccrf"
-        ckpt.write_bytes(
-            b"CCRF1" + struct.pack("<I", 8) + b"unary.w0" + struct.pack("<4I", 3, *[2**32 - 1] * 3)
-        )
+        # two (2^32 - 1)-wide unary layers; the size check precedes any allocation
+        nets = struct.pack("<4I", 3, *[2**32 - 1] * 3) + struct.pack("<3I", 2, 1, 1)
+        ckpt.write_bytes(b"CCRF2" + nets + struct.pack("<d", 0.1) + b"\x00" * 64)
         code = cli.main(["eval", "--ckpt", str(ckpt), "--data", data, "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "truncated checkpoint" in capsys.readouterr().err
+        assert "parameter bytes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["pair.gamma", "pair.beta_raw"])
-    def test_vector_scalar_in_checkpoint_is_a_data_error(self, tmp_path, capsys, name):
+    def test_older_format_checkpoint_is_a_data_error(self, tmp_path, capsys):
         data = synth_into(tmp_path, seg_config(tmp_path))
-        ckpt = tmp_path / "vector.ccrf"
-        save_checkpoint(ckpt, build_model(np.random.default_rng(0), 10, 3))
-        # a later tensor of the same name replaces the saved scalar
-        encoded = name.encode()
-        with open(ckpt, "ab") as fh:
-            fh.write(struct.pack("<I", len(encoded)) + encoded + struct.pack("<2I", 1, 2))
-            fh.write(np.array([0.1, 0.2], dtype="<f8").tobytes())
+        capsys.readouterr()
+        ckpt = tmp_path / "old.ccrf"
+        # the CCRF1 layout: one (name, rank, shape, values) record per tensor
+        model = build_model(np.random.default_rng(0), 10, 3)
+        with open(ckpt, "wb") as fh:
+            fh.write(b"CCRF1")
+            for name, value in [*model.parameters().items(), ("pair.gamma", np.array(0.1))]:
+                head = (len(name), name.encode(), value.ndim, *value.shape)
+                fh.write(struct.pack(f"<I{len(name)}sI{value.ndim}I", *head))
+                fh.write(value.astype("<f8").tobytes())
         code = cli.main(["eval", "--ckpt", str(ckpt), "--data", data, "--out", str(tmp_path / "out")])
         assert code == 2
-        assert name in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and "CCRF2" in line
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["unary.w0", "pair.b0", "pair.beta_raw"])
@@ -481,15 +484,6 @@ class TestEval:
         code = cli.main(["eval", "--ckpt", str(ckpt), "--data", data, "--out", str(tmp_path / "out")])
         assert code == 2
         assert name in capsys.readouterr().err
-
-    def test_unpaired_checkpoint_layer_is_a_data_error(self, tmp_path, capsys):
-        data = synth_into(tmp_path, seg_config(tmp_path))
-        ckpt = tmp_path / "unpaired.ccrf"
-        save_checkpoint(ckpt, build_model(np.random.default_rng(0), 10, 3))
-        ckpt.write_bytes(ckpt.read_bytes().replace(b"unary.b0", b"unary.c0"))
-        code = cli.main(["eval", "--ckpt", str(ckpt), "--data", data, "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert "lacks its weight or bias" in capsys.readouterr().err
 
     def test_node_index_beyond_pixel_count_is_a_data_error(self, tmp_path, capsys):
         data, ckpt = self.trained_run(tmp_path, seg_config(tmp_path))
@@ -539,7 +533,7 @@ class TestIrregularNodes:
             image = ImageGrid(rng.uniform(0.0, 1.0, (24, 24)))
             seg = voronoi_segment(image, count, seed=seed + i)
             depth = 1.0 + 4.0 * pool_features(image.values, seg)
-            examples.append(LabeledExample(image, seg, depth, "depth"))
+            examples.append(LabeledExample(image, seg, depth))
         return examples
 
     def test_variable_node_counts_train_and_eval(self, tmp_path):

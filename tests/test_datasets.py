@@ -30,13 +30,12 @@ class TestLabeledExample:
         ds = small_dataset(count=1)
         ex = (ds.train + ds.val + ds.test)[0]
         with pytest.raises(ValueError):
-            LabeledExample(ex.image, ex.seg, ex.targets[:-1], ex.task)
+            LabeledExample(ex.image, ex.seg, ex.targets[:-1])
 
     def test_rejects_unknown_task(self):
-        ds = small_dataset(count=1)
-        ex = (ds.train + ds.val + ds.test)[0]
-        with pytest.raises(ValueError):
-            LabeledExample(ex.image, ex.seg, ex.targets, "pose")
+        # an example carries no task; its dataset does, and checks it
+        with pytest.raises(ValueError, match="unknown task 'pose'"):
+            Dataset("pose")
 
 
 class TestDatasetSplit:
@@ -62,7 +61,6 @@ class TestRoundtrip:
                 assert np.allclose(a.image.values, b.image.values, atol=1e-6)
                 assert np.array_equal(a.seg.label_map, b.seg.label_map)
                 assert np.array_equal(a.targets, b.targets)  # one-hot survives f32
-                assert b.task == "segmentation"
 
     def test_depth_roundtrip(self, tmp_path):
         ds = small_dataset("depth")

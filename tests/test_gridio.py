@@ -123,7 +123,7 @@ class _HalfWriteFile:
 
 
 _EXAMPLE = LabeledExample(
-    ImageGrid(np.full((8, 8), 0.5)), SuperpixelSegmentation(np.zeros((8, 8), dtype=int), 1), np.ones((1, 1)), "depth"
+    ImageGrid(np.full((8, 8), 0.5)), SuperpixelSegmentation(np.zeros((8, 8), dtype=int), 1), np.ones((1, 1))
 )
 _MODEL = build_model(np.random.default_rng(0), 4, 2, (3,), (3,), 2)
 _HISTORY = TrainHistory("rmse", [EpochRecord(0, 1.5, 0.25, 1.0, 0.5)])

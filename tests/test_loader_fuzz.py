@@ -58,7 +58,6 @@ def tiny_examples(rng, count):
             ImageGrid(rng.uniform(0.0, 1.0, (8, 8))),
             SuperpixelSegmentation(label_map, 2),
             np.eye(2),
-            "segmentation",
         )
         for _ in range(count)
     ]

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ccrf import (
 )
 from ccrf.crf import _EXP_FLOOR, Workspace, _flush_exp, _negated_squared_distances
 from ccrf.graph import NodeGraph
-from ccrf.networks import _write_tensor, sigmoid
+from ccrf.networks import sigmoid
 
 from helpers import (
     central_diff,
@@ -458,6 +459,15 @@ class TestModel:
         assert model.unary.output_dim == 3
 
 
+def checkpoint_header(unary_widths, pair_widths, gamma=0.1) -> bytes:
+    """The bytes of a checkpoint before its parameter payload."""
+    nets = b"".join(
+        struct.pack(f"<{len(widths) + 1}I", len(widths), *widths)
+        for widths in (unary_widths, pair_widths)
+    )
+    return b"CCRF2" + nets + struct.pack("<d", gamma)
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_everything(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -474,20 +484,6 @@ class TestCheckpoint:
         assert loaded.pairwise.gamma == model.pairwise.gamma
         orig = model.parameters()
         back = loaded.parameters()
-        assert set(orig) == set(back)
-        for key in orig:
-            assert np.array_equal(orig[key], back[key]), key
-
-    def test_older_checkpoint_with_tukey_record_loads(self, tmp_path):
-        # older versions appended a meta.tukey_c scalar; it is ignored
-        model = build_model(np.random.default_rng(22), feature_dim=4, output_dim=2)
-        path = tmp_path / "old.ccrf"
-        save_checkpoint(path, model)
-        with open(path, "ab") as fh:
-            _write_tensor(fh, "meta.tukey_c", np.array(2.5))
-        loaded = load_checkpoint(path)
-        assert loaded.pairwise.gamma == model.pairwise.gamma
-        orig, back = model.parameters(), loaded.parameters()
         assert set(orig) == set(back)
         for key in orig:
             assert np.array_equal(orig[key], back[key]), key
@@ -509,30 +505,48 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_rejects_shape_larger_than_file(self, tmp_path):
-        # a (2^32 - 1)^3 tensor header must not turn into an allocation
+        # (2^32 - 1)-wide layers must not turn into an allocation
         path = tmp_path / "huge.ccrf"
-        header = struct.pack("<I", 6) + b"unary0" + struct.pack("<4I", 3, *[2**32 - 1] * 3)
-        path.write_bytes(b"CCRF1" + header + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        path.write_bytes(checkpoint_header([2**32 - 1] * 3, [1, 1]) + b"\x00" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="parameter bytes"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
-        "name, shape",
-        [("unary.w0", (3,)), ("unary.b0", (5,)), ("unary.w1", (4, 2)), ("unary.b1", (2, 2))],
+        "unary_widths, pair_widths",
+        [([], [3, 2]), ([3], [3, 2]), ([3, 0, 2], [3, 2]), ([3, 2], [0, 2])],
+        ids=["no-widths", "one-width", "zero-hidden", "zero-pair-input"],
     )
-    def test_rejects_misshapen_layer(self, tmp_path, name, shape):
-        # hidden width 64: a layer must be 2-D, its bias must match its
-        # outputs, and each layer must take the previous layer's outputs
-        model = build_model(np.random.default_rng(5), feature_dim=3, output_dim=2)
-        params = model.parameters()
+    def test_rejects_bad_layer_widths(self, tmp_path, unary_widths, pair_widths):
+        # k >= 2 widths per net, each at least 1; the payload is never reached
+        path = tmp_path / "model.ccrf"
+        path.write_bytes(checkpoint_header(unary_widths, pair_widths) + b"\x00" * 8 * 64)
+        with pytest.raises(ValueError, match="layer widths"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [-1, 1], ids=["missing-byte", "trailing-byte"])
+    def test_rejects_payload_of_wrong_length(self, tmp_path, cut):
+        path = tmp_path / "model.ccrf"
+        save_checkpoint(path, build_model(np.random.default_rng(6), feature_dim=3, output_dim=2))
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut < 0 else data + b"\x00" * cut)
+        with pytest.raises(ValueError, match="parameter bytes"):
+            load_checkpoint(path)
+
+    def test_payload_is_the_flat_vector(self, tmp_path):
+        model = build_model(
+            np.random.default_rng(7), feature_dim=5, output_dim=3,
+            hidden_dims=(7, 4), embed_hidden_dims=(6,), embed_dim=2, gamma=0.25,
+        )
         path = tmp_path / "model.ccrf"
         save_checkpoint(path, model)
-        with open(path, "ab") as fh:
-            # a later tensor of the same name replaces the saved one
-            _write_tensor(fh, name, np.zeros(shape))
-        assert params[name].shape != shape
-        with pytest.raises(ValueError, match="checkpoint layer"):
-            load_checkpoint(path)
+        header = checkpoint_header([5, 7, 4, 3], [5, 6, 2], gamma=0.25)
+        assert path.read_bytes() == header + model.flat.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("gamma", [np.nan, -0.5, np.inf])
     def test_rejects_bad_gamma(self, tmp_path, gamma):
@@ -549,4 +563,4 @@ class TestCheckpoint:
         model = build_model(rng, feature_dim=3, output_dim=2)
         path = tmp_path / "model.ccrf"
         save_checkpoint(path, model)
-        assert path.read_bytes()[:5] == b"CCRF1"
+        assert path.read_bytes()[:5] == b"CCRF2"

@@ -81,7 +81,6 @@ class TestPalette:
 class TestSegmentationScene:
     def test_basic_shape_contract(self):
         ex = gen_segmentation_scene(seg_spec())
-        assert ex.task == "segmentation"
         assert ex.image.values.shape == (48, 48, 3)
         assert ex.targets.shape == (ex.seg.n, 4)
         # one-hot rows
@@ -117,7 +116,6 @@ class TestSegmentationScene:
 class TestDepthScene:
     def test_basic_shape_contract(self):
         ex = gen_depth_scene(depth_spec())
-        assert ex.task == "depth"
         assert ex.targets.shape == (ex.seg.n, 1)
         assert ex.targets.min() >= 0.0 and ex.targets.max() <= 1.0
 
@@ -132,8 +130,9 @@ class TestDepthScene:
         assert ex.targets.std() > 1e-3
 
     def test_gen_scene_dispatch(self):
-        assert gen_scene(seg_spec()).task == "segmentation"
-        assert gen_scene(depth_spec()).task == "depth"
+        seg, depth = gen_scene(seg_spec()), gen_scene(depth_spec())
+        assert np.array_equal(seg.targets, gen_segmentation_scene(seg_spec()).targets)
+        assert np.array_equal(depth.targets, gen_depth_scene(depth_spec()).targets)
 
 
 class TestNormalizeDepthMap:
