@@ -344,6 +344,7 @@ def _cmd_ablate(args) -> int:
     failures = 0
     rows = []
     for label, dataset, plot_xs in sweep.cells(mapping):
+        test = prepare_examples(dataset.test)
         for kind in sweep.losses:
             try:
                 model, _ = train(dataset, configs[kind])
@@ -351,7 +352,7 @@ def _cmd_ablate(args) -> int:
                 failures += 1
                 rows.append([label, kind, *["nan"] * len(sweep.sweep_metrics), f"diverged ({err})"])
                 continue
-            scores = evaluate(model, prepare_examples(dataset.test), task)
+            scores = evaluate(model, test, task)
             rows.append([label, kind, *[_fmt_metric(scores[k]) for k in sweep.sweep_metrics], "ok"])
             for stem, x in plot_xs.items():
                 curves[stem][kind][0].append(x)
@@ -393,7 +394,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
-
-
-def entry() -> None:
-    sys.exit(main())

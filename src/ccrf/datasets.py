@@ -18,11 +18,7 @@ from .graph import ImageGrid, SuperpixelSegmentation
 from .gridio import atomic_open, read_f32grids, write_f32grids
 
 TASKS = ("segmentation", "depth")
-SPLIT_MANIFESTS = {
-    "train": "train.manifest",
-    "val": "val.manifest",
-    "test": "test.manifest",
-}
+SPLITS = ("train", "val", "test")
 
 
 @dataclass
@@ -56,11 +52,13 @@ class Dataset:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-
-    def split(self, name: str) -> list:
-        if name not in SPLIT_MANIFESTS:
-            raise ValueError(f"unknown split {name!r}")
-        return getattr(self, name)
+        widths = {ex.targets.shape[1] for ex in self.train + self.val + self.test}
+        if self.task == "depth" and widths - {1}:
+            raise ValueError(f"depth targets need one column, got {sorted(widths)}")
+        if self.task == "segmentation" and (len(widths) > 1 or widths & {0, 1}):
+            raise ValueError(
+                f"segmentation targets need one class count of at least two, got {sorted(widths)}"
+            )
 
 
 def write_manifest(directory, split: str, task: str, examples) -> None:
@@ -72,7 +70,7 @@ def write_manifest(directory, split: str, task: str, examples) -> None:
         records = (example.image.values, example.seg.label_map.astype(np.float64), example.targets)
         write_f32grids(os.path.join(directory, name), records)
         lines.append(name)
-    with atomic_open(os.path.join(directory, SPLIT_MANIFESTS[split])) as fh:
+    with atomic_open(os.path.join(directory, f"{split}.manifest")) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -121,17 +119,17 @@ def read_manifest(path) -> tuple[str, list]:
 
 
 def save_dataset(dataset: Dataset, directory) -> None:
-    for split in SPLIT_MANIFESTS:
-        write_manifest(directory, split, dataset.task, dataset.split(split))
+    for split in SPLITS:
+        write_manifest(directory, split, dataset.task, getattr(dataset, split))
 
 
-def load_dataset(directory, splits=tuple(SPLIT_MANIFESTS)) -> Dataset:
+def load_dataset(directory, splits=SPLITS) -> Dataset:
     """Read the manifests of ``splits`` present under ``directory``; every
     other split loads empty."""
     task = None
-    loaded = {split: [] for split in SPLIT_MANIFESTS}
+    loaded = {split: [] for split in SPLITS}
     for split in splits:
-        path = os.path.join(directory, SPLIT_MANIFESTS[split])
+        path = os.path.join(directory, f"{split}.manifest")
         if not os.path.exists(path):
             continue
         split_task, examples = read_manifest(path)

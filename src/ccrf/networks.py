@@ -130,7 +130,7 @@ class PairwiseNet:
 
     embed: Mlp
     beta_raw: np.ndarray  # 0-d, unconstrained; beta = softplus(beta_raw)
-    gamma: float = 0.1
+    gamma: float
 
     def __post_init__(self):
         # sqrt(gamma) scales the centroids inside the kernel

@@ -47,6 +47,8 @@ class SyntheticSceneSpec:
             raise ValueError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
         if self.target_nodes < 1:
             raise ValueError("target_nodes must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,17 @@ import math
 from .gridio import atomic_open
 
 _COLORS = ("#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df", "#bf3989")
+_WIDTH, _HEIGHT = 640, 440
+_MAX_TICKS = 6
 
 
-def _nice_ticks(lo: float, hi: float, max_ticks: int = 6) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / max(1, max_ticks - 1)
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round tick values across [lo, hi]; ``line_plot`` passes hi > lo."""
+    raw = (hi - lo) / (_MAX_TICKS - 1)
     magnitude = 10.0 ** math.floor(math.log10(raw))
     step = 10 * magnitude
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if (hi - lo) / (mult * magnitude) <= max_ticks - 1 + 1e-9:
+        if (hi - lo) / (mult * magnitude) <= _MAX_TICKS - 1 + 1e-9:
             step = mult * magnitude
             break
     first = math.ceil(lo / step) * step
@@ -32,8 +33,7 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def line_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
-              width: int = 640, height: int = 440) -> None:
+def line_plot(path, series, *, title: str, xlabel: str, ylabel: str) -> None:
     """Write a line plot; ``series`` is a list of (label, xs, ys) triples."""
     if not series:
         raise ValueError("nothing to plot")
@@ -54,8 +54,8 @@ def line_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 
     left, right, top, bottom = 64, 18, 34, 50
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = _WIDTH - left - right
+    plot_h = _HEIGHT - top - bottom
 
     def px(x: float) -> float:
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -63,21 +63,15 @@ def line_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
     def py(y: float) -> float:
         return top + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14">{title}</text>'
-        )
     axis = "#444444"
-    parts.append(
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="{axis}"/>'
-    )
+        f'fill="none" stroke="{axis}"/>',
+    ]
     for tick in _nice_ticks(x_lo, x_hi):
         if not x_lo <= tick <= x_hi:
             continue
@@ -100,16 +94,12 @@ def line_plot(path, series, title: str = "", xlabel: str = "", ylabel: str = "",
         parts.append(
             f'<text x="{left - 8}" y="{y + 4:.1f}" text-anchor="end">{_fmt(tick)}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{left + plot_w / 2:.1f}" y="{height - 10}" '
-            f'text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{ylabel}</text>'
-        )
+    parts += [
+        f'<text x="{left + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
+        f'text-anchor="middle">{xlabel}</text>',
+        f'<text x="16" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{ylabel}</text>',
+    ]
     for i, (label, xs, ys) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         points = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in zip(xs, ys))

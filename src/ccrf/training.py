@@ -49,13 +49,10 @@ class DivergenceError(RuntimeError):
     """Training hit a nonfinite loss, affinity or gradient; carries the
     offending example."""
 
-    def __init__(self, epoch: int, example_index: int, detail: str = ""):
+    def __init__(self, epoch: int, example_index: int, detail: str):
         self.epoch = epoch
         self.example_index = example_index
-        message = f"nonfinite value at epoch {epoch}, example {example_index}"
-        if detail:
-            message = f"{message}: {detail}"
-        super().__init__(message)
+        super().__init__(f"nonfinite value at epoch {epoch}, example {example_index}: {detail}")
 
 
 @dataclass
@@ -84,6 +81,8 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.epochs < 0 or self.unary_warmup_epochs < 0:
             raise ValueError("epoch counts must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.clip_norm is not None and not (np.isfinite(self.clip_norm) and self.clip_norm > 0):
             raise ValueError(f"clip_norm must be finite and positive or None, got {self.clip_norm}")
         if not (np.isfinite(self.gamma) and self.gamma >= 0.0):

@@ -2,6 +2,9 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
+import tomllib
 
 import numpy as np
 import pytest
@@ -24,8 +27,11 @@ from ccrf import (
 )
 from ccrf.cli import parse_config
 from ccrf.cli import train_config as config_from_mapping
+from ccrf.datasets import write_manifest
 
 from helpers import set_example_value, voronoi_segment
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_config(path, **kv):
@@ -146,6 +152,43 @@ class TestUsage:
         assert cli.main(["synth", "--out", "x"]) == 1
 
 
+def run_python(*argv):
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestProcess:
+    """The CLI run as its own process, exit status included."""
+
+    def test_module_without_arguments_exits_1(self):
+        result = run_python("-m", "ccrf")
+        assert result.returncode == 1
+        assert result.stderr.startswith("usage error:")
+
+    def test_module_with_missing_config_file_exits_2(self, tmp_path):
+        out = tmp_path / "runs"
+        result = run_python(
+            "-m", "ccrf", "synth", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)
+        )
+        assert result.returncode == 2
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error:") and "absent.cfg" in line
+        assert not out.exists()
+
+    def test_script_target_is_a_callable_main(self):
+        with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["ccrf"]
+        module, name = target.split(":")
+        # the wrapper an install generates: import the target, exit with its result
+        result = run_python("-c", f"import sys; from {module} import {name}; sys.exit({name}())")
+        assert result.returncode == 1
+        assert result.stderr.startswith("usage error:")
+
+
 class TestSynth:
     def test_creates_dataset_and_manifest(self, tmp_path, capsys):
         cfg = seg_config(tmp_path)
@@ -222,6 +265,13 @@ class TestSynth:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_negative_seed_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        code = cli.main(["synth", "--config", seg_config(tmp_path), "--out", str(out), "--seed", "-3"])
+        assert code == 2
+        assert "seed must be nonnegative, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def synth_into(tmp_path, cfg):
@@ -309,6 +359,17 @@ class TestTrain:
             ["train", "--config", cfg, "--data", str(tmp_path / "nope"), "--out", str(tmp_path)]
         )
         assert code == 2
+
+    def test_negative_seed_fails_before_reading_the_data(self, tmp_path, capsys, monkeypatch):
+        reads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *args: reads.append(args))
+        out = tmp_path / "runs"
+        argv = ["--data", str(tmp_path / "data"), "--out", str(out), "--seed", "-3"]
+        code = cli.main(["train", "--config", seg_config(tmp_path), *argv])
+        assert code == 2
+        assert "seed must be nonnegative, got -3" in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
 
     def test_negative_gamma_is_a_data_error(self, tmp_path, capsys):
         cfg = seg_config(tmp_path, gamma=-1)
@@ -522,6 +583,55 @@ class TestEval:
         assert code == 2
 
 
+def write_retargeted(directory, dataset, retarget):
+    """Write ``dataset`` with ``retarget`` applied to every example's
+    targets, past the checks a ``Dataset`` makes."""
+    for split in ("train", "val", "test"):
+        examples = [
+            LabeledExample(ex.image, ex.seg, retarget(ex.targets)) for ex in getattr(dataset, split)
+        ]
+        write_manifest(directory, split, dataset.task, examples)
+    return str(directory)
+
+
+class TestTargetColumns:
+    """train and eval both refuse targets that do not fit the task."""
+
+    def test_two_column_depth_targets(self, tmp_path, capsys):
+        ds = synth_dataset(SyntheticSceneSpec("depth", size=32, target_nodes=12), 4)
+        data = write_retargeted(tmp_path / "data", ds, lambda t: np.hstack([t, t]))
+        ckpt = str(tmp_path / "checkpoint.ccrf")
+        save_checkpoint(ckpt, build_model(np.random.default_rng(0), 4, 2, (3,), (3,), 2))
+        out = tmp_path / "runs"
+        cfg = depth_config(tmp_path, loss="loglik")
+        assert cli.main(["train", "--config", cfg, "--data", data, "--out", str(out)]) == 2
+        assert cli.main(["eval", "--ckpt", ckpt, "--data", data, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("depth targets need one column, got [2]") == 2
+        assert not out.exists()
+
+    def test_one_column_segmentation_targets(self, tmp_path, capsys):
+        ds = synth_dataset(SyntheticSceneSpec(size=32, classes=3, target_nodes=12), 4)
+        data = write_retargeted(tmp_path / "data", ds, lambda t: t[:, :1])
+        out = tmp_path / "runs"
+        cfg = seg_config(tmp_path, loss="loglik")
+        assert cli.main(["train", "--config", cfg, "--data", data, "--out", str(out)]) == 2
+        assert "one class count of at least two, got [1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mixed_class_counts(self, tmp_path, capsys):
+        def seg(classes):
+            return synth_dataset(SyntheticSceneSpec(size=32, classes=classes, target_nodes=12), 4)
+
+        data = tmp_path / "data"
+        write_manifest(data, "train", "segmentation", seg(3).train)
+        write_manifest(data, "val", "segmentation", seg(2).val)
+        out = tmp_path / "runs"
+        cfg = seg_config(tmp_path)
+        assert cli.main(["train", "--config", cfg, "--data", str(data), "--out", str(out)]) == 2
+        assert "one class count of at least two, got [2, 3]" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestIrregularNodes:
     """A dataset directory may carry any segmentation, not only grid tiles."""
 
@@ -570,6 +680,19 @@ class TestAblate:
         assert os.path.exists(os.path.join(run_dir, "pixel_acc_vs_classes.svg"))
         svg = open(os.path.join(run_dir, "pixel_acc_vs_classes.svg")).read()
         assert svg.startswith("<svg") and "softmax" in svg and "loglik" in svg
+
+    def test_builds_each_cells_test_graphs_once(self, tmp_path, monkeypatch):
+        calls = []
+        real_prepare = cli.prepare_examples
+
+        def counting_prepare(examples):
+            calls.append(len(examples))
+            return real_prepare(examples)
+
+        monkeypatch.setattr(cli, "prepare_examples", counting_prepare)
+        cfg = seg_config(tmp_path, ablate_classes="2,3", epochs=0)
+        assert cli.main(["ablate", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+        assert calls == [1, 1]  # one test split per class count, shared by both losses
 
     def test_depth_corruption_sweep(self, tmp_path):
         cfg = depth_config(tmp_path, epochs=1, warmup_epochs=0)

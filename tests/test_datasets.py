@@ -38,16 +38,6 @@ class TestLabeledExample:
             Dataset("pose")
 
 
-class TestDatasetSplit:
-    def test_split_lookup(self):
-        ds = small_dataset()
-        assert ds.split("train") is ds.train
-        assert ds.split("val") is ds.val
-        assert ds.split("test") is ds.test
-        with pytest.raises(ValueError):
-            ds.split("holdout")
-
-
 class TestRoundtrip:
     def test_segmentation_roundtrip(self, tmp_path):
         ds = small_dataset("segmentation")
@@ -55,7 +45,7 @@ class TestRoundtrip:
         back = load_dataset(tmp_path)
         assert back.task == "segmentation"
         for split in ("train", "val", "test"):
-            orig, loaded = ds.split(split), back.split(split)
+            orig, loaded = getattr(ds, split), getattr(back, split)
             assert len(orig) == len(loaded)
             for a, b in zip(orig, loaded):
                 assert np.allclose(a.image.values, b.image.values, atol=1e-6)

@@ -132,7 +132,9 @@ WRITERS = {
     "checkpoint": lambda d: save_checkpoint(d / "checkpoint.ccrf", _MODEL),
     "grid": lambda d: write_f32grids(d / "a.f32grid", [np.arange(6.0).reshape(2, 3)]),
     "history": lambda d: _HISTORY.write_csv(d / "history.csv"),
-    "svg": lambda d: line_plot(d / "plot.svg", [("a", [0, 1], [2.0, 3.0])]),
+    "svg": lambda d: line_plot(
+        d / "plot.svg", [("a", [0, 1], [2.0, 3.0])], title="t", xlabel="x", ylabel="y"
+    ),
     "split_manifest": lambda d: write_manifest(d, "train", "depth", []),
     "example_file": lambda d: write_manifest(d, "train", "depth", [_EXAMPLE]),
     "run_manifest": lambda d: _write_run_manifest(

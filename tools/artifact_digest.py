@@ -12,6 +12,10 @@ manifests do not depend on where the checkout lives:
 - ``eval`` of each checkpoint;
 - ``ablate`` per task.
 
+Segmentation keeps the best validation epoch, so the restore of its
+parameters is byte-checked too; depth keeps the last, as its ablate
+sweep does.
+
 It then prints ``sha256  path`` for every file under OUT, manifests
 included.  The same command on two checkouts, each into a fresh OUT,
 prints identical lines exactly when the two write the same bytes; a
@@ -38,7 +42,6 @@ target_nodes=36
 count=8
 seed=5
 epochs=4
-keep=last
 warmup_epochs=1
 hidden_dims=8
 embed_hidden_dims=8
