@@ -394,3 +394,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

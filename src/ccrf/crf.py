@@ -44,15 +44,18 @@ class Workspace:
     """Named n x n float64 arrays that live across calls of the same n.
 
     The field functions take one as ``work`` and write their n x n results
-    into its arrays instead of fresh ones; an array is reallocated, zeroed
-    and F-ordered, only when n changes.  Every symmetric result written
-    there is exact in the array's lower triangle only, which is all that
-    LAPACK and the symmetric BLAS routines read; the other triangle holds
-    finite or NaN leftovers that nothing reduces over.  A result stays
-    valid only until the next call that writes the same name: "kernel"
-    (the negated squared distances, then the Gaussian kernel), "a0" (A0,
-    factored in place) and "affinity" (the flush mask, then R, then
-    dL/dR, then the kernel-weighted gradient).  Passed back to
+    into its two arrays instead of fresh ones; an array is reallocated,
+    zeroed and F-ordered, only when n changes.  Every symmetric result
+    written there is exact in the array's lower triangle only, which is all
+    that LAPACK and the symmetric BLAS routines read; the other triangle
+    holds finite or NaN leftovers that nothing reduces over.  A result
+    stays valid only until the next call that writes the same name:
+    "kernel" (the negated squared distances, then the Gaussian kernel,
+    which the backward reads) and "affinity" (the flush mask, then R, then
+    A0 and its Cholesky factor, then dL/dR, A0^-1 first on the likelihood
+    path, then the kernel-weighted gradient).  So a ``PrecisionSystem``
+    assembled with a workspace is spent by the next ``assemble``,
+    ``map_backward`` or ``nll_backward`` on it.  Passed back to
     ``assemble`` with the same workspace, its own "affinity" is trusted
     without the full-matrix checks that any other matrix gets.
     """
@@ -201,7 +204,10 @@ class PrecisionSystem:
     ``factor`` is F-ordered and holds L in its lower triangle and, unless
     R was the workspace's own one-triangle affinity (``keeps_a0`` False),
     A0's strict upper triangle (-R), untouched by the factorization,
-    above it.
+    above it.  Assembled with a workspace, the factor is its "affinity"
+    array (a fresh one only when R shared that array's memory), so the
+    system is spent by the next ``assemble``, ``map_backward`` or
+    ``nll_backward`` on that workspace.
     """
 
     factor: np.ndarray
@@ -218,9 +224,9 @@ class PrecisionSystem:
         """A0, rebuilt from the factor's upper triangle and the diagonal.
 
         Valid as long as the factor is: with a workspace, until the next
-        ``assemble`` on it.  A system assembled from the workspace's own
-        affinity never held -R outside the triangle the factor took, so
-        asking it for A0 raises instead.
+        ``assemble`` or backward on it.  A system assembled from the
+        workspace's own affinity never held -R outside the triangle the
+        factor took, so asking it for A0 raises instead.
         """
         if not self.keeps_a0:
             raise RuntimeError(
@@ -248,19 +254,22 @@ def assemble(affinity: np.ndarray, *, work: Workspace | None = None) -> Precisio
     rounding tolerance are cleaned away.  ``work``'s own affinity, as
     ``gaussian_affinity`` leaves it, is built that way and exact in its
     lower triangle, so only its finiteness is checked, through its row
-    sums.  Factorization failure would contradict the
+    sums, and it is negated and factored where it lies.  Any other R is
+    assembled into ``work``'s "affinity", or into a fresh array when R
+    shares memory with it, and is left as it was.  The system is spent by
+    the next ``assemble``, ``map_backward`` or ``nll_backward`` on
+    ``work``.  Factorization failure would contradict the
     positive-definiteness guarantee and is surfaced as a hard internal
     error.
     """
     trusted = work is not None and work.holds("affinity", affinity)
     if trusted:
-        r = affinity
+        r = a0 = affinity
         n = r.shape[0]
         # a NaN or infinite entry makes its row sums nonfinite
         degree = dsymv(1.0, r, np.ones(n), lower=1)
         if not np.isfinite(degree).all():
             raise NonFiniteAffinityError("affinity entries and row sums must be finite")
-        a0 = square(work, "a0", n)
     else:
         r, degree, a0 = _checked_affinity(affinity, work)
 
@@ -279,12 +288,16 @@ def assemble(affinity: np.ndarray, *, work: Workspace | None = None) -> Precisio
 def _checked_affinity(affinity, work: Workspace | None):
     """A caller's R, validated and cleaned, its row sums, and A0's buffer.
 
-    R comes back as an F-ordered view, like the buffer, so that copying it
-    in is one contiguous pass.
+    The buffer is ``work``'s "affinity" unless R shares memory with it.  R
+    comes back as an F-ordered view, like the buffer, so that copying it in
+    is one contiguous pass.
     """
     r = np.asarray(affinity, dtype=np.float64)
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
         raise ValueError(f"affinity must be a nonempty square matrix, got shape {r.shape}")
+    buffer = square(work, "affinity", r.shape[0])
+    if np.may_share_memory(r, buffer):
+        buffer = np.empty_like(buffer, order="F")
     # every check below holds for R' exactly when it holds for R, and a
     # checked R is exactly symmetric, so R' may stand in for it; C order
     # keeps the transposed pass as fast as numpy makes it
@@ -302,7 +315,7 @@ def _checked_affinity(affinity, work: Workspace | None):
         raise NonFiniteAffinityError("affinity entries and row sums must be finite")
     tol = _SYMMETRY_TOL * max(1.0, float(r.max()))
     # the asymmetry, in the C-ordered view of the buffer that becomes A0
-    a0 = np.subtract(r, r.T, out=square(work, "a0", r.shape[0]).T)
+    a0 = np.subtract(r, r.T, out=buffer.T)
     asymmetry = float(np.abs(a0, out=a0).max())
     if asymmetry > tol:
         raise ValueError("affinity must be symmetric")
@@ -313,7 +326,7 @@ def _checked_affinity(affinity, work: Workspace | None):
         r = 0.5 * (r + r.T)
         np.fill_diagonal(r, 0.0)
         degree = r.sum(axis=1)
-    return r.T, degree, a0.T
+    return r.T, degree, buffer
 
 
 def _check_scores(system: PrecisionSystem, scores: np.ndarray, name: str) -> np.ndarray:
@@ -377,18 +390,22 @@ def nll_backward(
     The affinity gradient accounts for the degree matrix's dependence on
     R: entry [p, q] is the sensitivity to a symmetric perturbation of the
     pair R[p,q] = R[q,p], dA0[p,p] + dA0[q,q] - 2 dA0[p,q].  With ``work``
-    it lives in the lower triangle of work's "affinity".
+    it lives in the lower triangle of work's "affinity", where ``potri``
+    inverts the system's factor in place when that array holds it, so the
+    system is spent: call ``nll`` first.
     """
     z = _check_scores(system, scores, "scores")
     y = _check_scores(system, targets, "targets")
     m = z.shape[1]
     w = system.solve(z)
     dscores = 2.0 * (w - y)
-    # dA0 = y y' - w w' - (m/2) A0^-1.  potri turns a copy of the factor
-    # into the lower triangle of A0^-1, the only one syr2k reads
+    # dA0 = y y' - w w' - (m/2) A0^-1.  potri turns the factor, in place
+    # when it is work's own, into the lower triangle of A0^-1, the only
+    # one syr2k reads
     n = system.n
     x = square(work, "affinity", n)
-    np.copyto(x, system.factor)
+    if x is not system.factor:
+        np.copyto(x, system.factor)
     x, info = dpotri(x, lower=1, overwrite_c=1)
     if info != 0:  # unreachable: the factor came from a successful potrf
         raise RuntimeError(f"potri failed with info {info}")
@@ -411,7 +428,8 @@ def map_backward(
     Given dL/dY at the inferred labelling, returns (dL/dZ, dL/dR) without
     ever re-solving the forward system from scratch: one extra solve with
     the incoming gradient suffices.  With ``work``, dL/dR lives in the
-    lower triangle of work's "affinity".
+    lower triangle of work's "affinity", written after the solve, so a
+    system whose factor that array holds is spent.
     """
     y = _check_scores(system, labelling, "labelling")
     g = system.solve(_check_scores(system, dlabelling, "dlabelling"))

@@ -61,17 +61,27 @@ class Dataset:
             )
 
 
-def write_manifest(directory, split: str, task: str, examples) -> None:
-    """Write one split: the manifest plus one example file per example."""
-    os.makedirs(directory, exist_ok=True)
-    lines = ["# dataset manifest", f"task={task}"]
+def _write_examples(directory, split: str, examples) -> list[str]:
+    """One example file per example; returns their names in order."""
+    names = []
     for i, example in enumerate(examples):
         name = f"{split}_{i:04d}.f32grids"
         records = (example.image.values, example.seg.label_map.astype(np.float64), example.targets)
         write_f32grids(os.path.join(directory, name), records)
-        lines.append(name)
+        names.append(name)
+    return names
+
+
+def _write_index(directory, split: str, task: str, names) -> None:
+    lines = ["# dataset manifest", f"task={task}", *names]
     with atomic_open(os.path.join(directory, f"{split}.manifest")) as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_manifest(directory, split: str, task: str, examples) -> None:
+    """Write one split: one example file per example, then the manifest."""
+    os.makedirs(directory, exist_ok=True)
+    _write_index(directory, split, task, _write_examples(directory, split, examples))
 
 
 def read_manifest(path) -> tuple[str, list]:
@@ -119,8 +129,16 @@ def read_manifest(path) -> tuple[str, list]:
 
 
 def save_dataset(dataset: Dataset, directory) -> None:
-    for split in SPLITS:
-        write_manifest(directory, split, dataset.task, getattr(dataset, split))
+    """Write every split's example files, then the manifests, train's last.
+
+    A manifest appears only once all example files exist, and a directory
+    without ``train.manifest`` is no training set, so an interrupted save
+    leaves nothing that ``train`` accepts.
+    """
+    os.makedirs(directory, exist_ok=True)
+    names = {split: _write_examples(directory, split, getattr(dataset, split)) for split in SPLITS}
+    for split in reversed(SPLITS):  # test, val, train
+        _write_index(directory, split, dataset.task, names[split])
 
 
 def load_dataset(directory, splits=SPLITS) -> Dataset:

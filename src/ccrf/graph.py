@@ -125,8 +125,9 @@ def grid_segment(image: ImageGrid, target_count: int) -> SuperpixelSegmentation:
     return SuperpixelSegmentation(label_map, rows * cols)
 
 
-def _pixel_planes(image: ImageGrid) -> np.ndarray:
-    """Channel-first (2*channels + 6, H, W) stack of per-pixel planes.
+def _pixel_planes(image: ImageGrid, planes: np.ndarray) -> np.ndarray:
+    """Channel-first (2*channels + 6, H, W) stack of per-pixel planes, in
+    the C-ordered ``planes``.
 
     Layout: raw intensities, 3x3 box-smoothed intensities, horizontal and
     vertical gradient magnitudes of the mean intensity, row/column
@@ -135,7 +136,6 @@ def _pixel_planes(image: ImageGrid) -> np.ndarray:
     coordinates, which pool into the centroids.
     """
     height, width, c = image.values.shape
-    planes = np.empty((2 * c + 6, height, width))
     planes[:c] = image.values.transpose(2, 0, 1)
     ndimage.uniform_filter(planes[:c], size=(1, 3, 3), mode="nearest", output=planes[c : 2 * c])
     mean = np.add.reduce(planes[:c]) / c  # adds channels in values.mean(axis=2)'s order
@@ -158,15 +158,18 @@ def _abs_gradient(f: np.ndarray, out: np.ndarray) -> None:
     np.abs(out, out=out)
 
 
-def _node_means(planes: np.ndarray, seg: SuperpixelSegmentation) -> np.ndarray:
+def _node_means(
+    planes: np.ndarray, seg: SuperpixelSegmentation, offsets: np.ndarray | None = None
+) -> np.ndarray:
     """Mean of k (H, W) pixel planes over each node, shape (n, k), C order.
 
-    One bincount over the offset labels ``label + plane * n`` adds each bin's
-    pixels in raster order, as ``np.add.at`` would, so the sums match a
-    scatter bit for bit.
+    One bincount over the offset labels ``label + plane * n``, written into
+    the int64 (k, H * W) ``offsets`` when given, adds each bin's pixels in
+    raster order, as ``np.add.at`` would, so the sums match a scatter bit
+    for bit.
     """
     k = planes.shape[0]
-    offsets = seg.label_map.ravel() + seg.n * np.arange(k)[:, None]
+    offsets = np.add(seg.label_map.ravel(), seg.n * np.arange(k)[:, None], out=offsets)
     sums = np.bincount(offsets.ravel(), weights=planes.ravel(), minlength=k * seg.n)
     return np.ascontiguousarray((sums.reshape(k, seg.n) / seg.counts).T)
 
@@ -185,6 +188,12 @@ def build_graph(image: ImageGrid, seg: SuperpixelSegmentation) -> NodeGraph:
     """Pool pixel features and centroids into a node graph."""
     if seg.shape != (image.height, image.width):
         raise ValueError("segmentation does not match image size")
-    means = _node_means(_pixel_planes(image), seg)
+    k = 2 * image.values.shape[2] + 6
+    # one allocation holds the plane stack and, viewed as int64, the offset
+    # labels: in a fresh process glibc trims two separate temporaries
+    # after every call, and each call faults their pages back in
+    block = np.empty((2, k, image.height * image.width))
+    planes = _pixel_planes(image, block[0].reshape(k, image.height, image.width))
+    means = _node_means(planes, seg, block[1].view(np.int64))
     centroids = means[:, -2:] / [image.height - 1, image.width - 1]
     return NodeGraph(seg.n, np.ascontiguousarray(means[:, :-2]), centroids)

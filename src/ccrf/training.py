@@ -150,7 +150,10 @@ def forward_loss(
     full pipeline with beta = 0.  ``work`` lends the n x n arrays, or the
     call keeps its own; the results do not depend on which, and only the
     loss and gradients, which never alias them, are returned.  The
-    gradients are ``model.views`` of a flat vector of their own.
+    precision system lives in ``work``'s "affinity", so the loss (``nll``
+    or ``map_infer``) reads it before the backward spends it, and nothing
+    reads it after.  The gradients are ``model.views`` of a flat vector of
+    their own.
     """
     targets = np.asarray(targets, dtype=np.float64)
     work = Workspace() if work is None else work

@@ -25,6 +25,7 @@ from ccrf import (
     save_dataset,
     synth_dataset,
 )
+from ccrf import datasets
 from ccrf.cli import parse_config
 from ccrf.cli import train_config as config_from_mapping
 from ccrf.datasets import write_manifest
@@ -179,6 +180,15 @@ class TestProcess:
         assert line.startswith("error:") and "absent.cfg" in line
         assert not out.exists()
 
+    def test_cli_module_with_missing_config_file_exits_2(self, tmp_path):
+        out = tmp_path / "runs"
+        result = run_python(
+            "-m", "ccrf.cli", "synth", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)
+        )
+        assert result.returncode == 2
+        assert "error:" in result.stderr and "absent.cfg" in result.stderr
+        assert not out.exists()
+
     def test_script_target_is_a_callable_main(self):
         with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["ccrf"]
@@ -265,6 +275,25 @@ class TestSynth:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_interrupted_write_leaves_no_training_set(self, tmp_path, capsys, monkeypatch):
+        write = datasets.write_f32grids
+
+        def interrupted(path, arrays):
+            if os.path.basename(path).startswith("val_"):
+                raise OSError(f"{path}: No space left on device")
+            write(path, arrays)
+
+        cfg = seg_config(tmp_path)
+        monkeypatch.setattr(datasets, "write_f32grids", interrupted)
+        assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "data")]) == 2
+        monkeypatch.undo()
+        data = only_run_dir(tmp_path / "data", "synth")
+        assert any(name.startswith("train_") for name in os.listdir(data))
+        out = tmp_path / "runs"
+        assert cli.main(["train", "--config", cfg, "--data", data, "--out", str(out)]) == 2
+        assert "no train/val manifest found" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_is_a_data_error(self, tmp_path, capsys):
         out = tmp_path / "runs"

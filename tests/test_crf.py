@@ -81,14 +81,15 @@ class TestAssemble:
         assert np.array_equal(assemble(r).a0, expected)
 
     def test_factor_overwrites_a0_in_place(self):
-        # the factor takes A0's own buffer, and A0 rebuilt from it is the
-        # textbook one bit for bit, also after a solve
+        # the factor takes the buffer A0 is built in, the workspace's
+        # "affinity", and A0 rebuilt from it is the textbook one bit for
+        # bit, also after a solve
         r = random_affinity(np.random.default_rng(17), 40)
         expected = -r
         expected[np.diag_indices(40)] = 1.0 + r.sum(axis=1)
         work = Workspace()
         system = assemble(r, work=work)
-        assert np.shares_memory(system.factor, work.get("a0", 40))
+        assert np.shares_memory(system.factor, work.get("affinity", 40))
         map_infer(system, np.ones((40, 2)))
         assert system.a0.tobytes() == expected.tobytes()
 
@@ -98,6 +99,7 @@ class TestAssemble:
         work = Workspace()
         own = work.get("affinity", n)
         own[...] = np.tril(r)  # the full-matrix checks would call this asymmetric
+        asymmetric = own.copy()
         system = assemble(own, work=work)
         full = assemble(r)
         lower = np.tri(n, dtype=bool)
@@ -106,10 +108,26 @@ class TestAssemble:
         with pytest.raises(RuntimeError, match="not kept"):
             system.a0
         with pytest.raises(ValueError, match="symmetric"):
-            assemble(own.copy(), work=work)
+            assemble(asymmetric, work=work)
         own[3, 1] = np.nan
         with pytest.raises(NonFiniteAffinityError):
             assemble(own, work=work)
+
+    def test_caller_matrix_sharing_the_workspace_gets_a_fresh_buffer(self):
+        # R' viewed through the workspace's own "affinity" is a caller's
+        # matrix: fully checked, and assembled outside the memory it reads
+        n = 40
+        r = random_affinity(np.random.default_rng(19), n)
+        work = Workspace()
+        own = work.get("affinity", n)
+        own[...] = r
+        system = assemble(own.T, work=work)
+        full = assemble(r)
+        assert not np.shares_memory(system.factor, own)
+        assert np.array_equal(own, r)
+        assert system.factor.tobytes() == full.factor.tobytes()
+        assert system.logdet_a0 == full.logdet_a0
+        assert system.a0.tobytes() == full.a0.tobytes()
 
     def test_rounding_asymmetry_is_cleaned(self):
         rng = np.random.default_rng(16)

@@ -495,7 +495,8 @@ class TestWorkspace:
         for a, b in zip(fresh, reused):
             assert a.tobytes() == b.tobytes()
         primed = Workspace()
-        primed.get("a0", 7)
+        for name in ("kernel", "affinity"):
+            primed.get(name, 7)[...] = np.nan
         with_work = evaluate(model, examples, task, work=primed)
         without = evaluate(model, examples, task)
         assert set(with_work) == set(without)
@@ -505,7 +506,7 @@ class TestWorkspace:
     @staticmethod
     def filled(n, value):
         work = Workspace()
-        for name in ("kernel", "a0", "affinity"):
+        for name in ("kernel", "affinity"):
             work.get(name, n)[...] = value
         return work
 
@@ -536,6 +537,22 @@ class TestWorkspace:
             reused = evaluate(model, examples, task, work=self.filled(n, value))
             for key in fresh:
                 assert np.asarray(reused[key]).tobytes() == np.asarray(fresh[key]).tobytes(), key
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    def test_first_step_allocates_two_square_arrays(self, spec):
+        # "kernel" and "affinity" carry the whole field: R, A0, its factor
+        # and dL/dR share one array
+        n = 200
+        model, graph, targets = self.problem(spec, n)
+        work = Workspace()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            forward_loss(model, graph, targets, spec, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 2.5 * 8 * n * n
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
     def test_second_same_n_step_allocates_no_square_array(self, spec):
