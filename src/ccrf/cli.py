@@ -3,6 +3,9 @@
 Every run hashes its effective configuration and seed into a run id and
 writes results into ``<out>/<command>-<id>/`` together with a manifest,
 so identical invocations land in identical places with identical bytes.
+This module alone decides what a crash leaves: a run is written into a
+hidden sibling and published with one rename, so a reader sees a whole
+run or none.
 
 Exit codes: 0 success, 1 usage, 2 data or shape mismatch, 3 divergence,
 4 sweep finished with failed cells.
@@ -11,14 +14,15 @@ Exit codes: 0 success, 1 usage, 2 data or shape mismatch, 3 divergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
+import shutil
 import sys
 from typing import Callable, NamedTuple
 
 from .datasets import Dataset, load_dataset, save_dataset
-from .gridio import atomic_open
 from .losses import LOSS_KINDS, LossSpec
 from .networks import load_checkpoint, save_checkpoint
 from .scenes import CorruptionSpec, SyntheticSceneSpec, corrupt_dataset, synth_dataset
@@ -142,30 +146,53 @@ def _effective_config(mapping: dict[str, str], overrides: dict) -> dict[str, str
     return merged
 
 
-def _run_dir(out_root: str, command: str, config: dict[str, str]) -> tuple[str, str]:
+@contextlib.contextmanager
+def _run_dir(args, command: str, config: dict[str, str], **outcome):
+    """Publish one run as ``<out>/<command>-<id>/``, whole or not at all.
+
+    Yields ``(staging, run_dir)``: the block writes the run's artifacts
+    into ``staging``, a hidden sibling of ``run_dir``.  ``manifest.json``
+    goes in last, and one rename then publishes the run; an earlier
+    ``run_dir`` is moved aside first and removed after.  If the block
+    raises, ``staging`` is removed and ``run_dir`` keeps what it held.
+    Nothing is fsynced, and a killed process can leave a hidden ``.tmp``
+    sibling, but never a partial ``run_dir``.
+    """
     digest = hashlib.sha256()
     digest.update(command.encode())
     for key in sorted(config):
         digest.update(f"\n{key}={config[key]}".encode())
     run_id = digest.hexdigest()[:12]
-    path = os.path.join(out_root, f"{command}-{run_id}")
-    os.makedirs(path, exist_ok=True)
-    return path, run_id
-
-
-def _write_run_manifest(run_dir, run_id, command, args, config, **outcome) -> None:
-    manifest = {
-        "command": command,
-        "config": getattr(args, "config", None),
-        "seed": int(config.get("seed", 0)),
-        "out_dir": run_dir,
-        "run_id": run_id,
-        "effective_config": config,
-        **outcome,
-    }
-    with atomic_open(os.path.join(run_dir, "manifest.json")) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    run_dir = os.path.join(args.out, f"{command}-{run_id}")
+    hidden = os.path.join(args.out, f".{command}-{run_id}.{os.getpid()}")
+    staging, old = f"{hidden}.tmp", f"{hidden}.old"
+    os.makedirs(args.out, exist_ok=True)
+    for leftover in (staging, old):  # only a dead process with this pid leaves one
+        shutil.rmtree(leftover, ignore_errors=True)
+    os.mkdir(staging)
+    try:
+        yield staging, run_dir
+        manifest = {
+            "command": command,
+            "config": getattr(args, "config", None),
+            "seed": int(config.get("seed", 0)),
+            "out_dir": run_dir,
+            "run_id": run_id,
+            "effective_config": config,
+            **outcome,
+        }
+        with open(os.path.join(staging, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        if os.path.isdir(run_dir):
+            os.rename(run_dir, old)
+        os.rename(staging, run_dir)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        with contextlib.suppress(OSError):
+            os.rename(old, run_dir)  # put back an earlier run moved aside
+        raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def _synth_dataset(config: dict[str, str]) -> Dataset:
@@ -173,17 +200,17 @@ def _synth_dataset(config: dict[str, str]) -> Dataset:
     return synth_dataset(spec, **_given(config, _SPLIT_KEYS))
 
 
-def _write_table(run_dir, stem, header, rows) -> None:
+def _write_table(directory, stem, header, rows) -> None:
     csv_lines = [",".join(header)]
     csv_lines += [",".join(str(cell) for cell in row) for row in rows]
-    with atomic_open(os.path.join(run_dir, f"{stem}.csv")) as fh:
+    with open(os.path.join(directory, f"{stem}.csv"), "w") as fh:
         fh.write("\n".join(csv_lines) + "\n")
     md_lines = [
         "| " + " | ".join(header) + " |",
         "| " + " | ".join("---" for _ in header) + " |",
     ]
     md_lines += ["| " + " | ".join(str(cell) for cell in row) + " |" for row in rows]
-    with atomic_open(os.path.join(run_dir, f"{stem}.md")) as fh:
+    with open(os.path.join(directory, f"{stem}.md"), "w") as fh:
         fh.write("\n".join(md_lines) + "\n")
 
 
@@ -194,9 +221,8 @@ def _fmt_metric(value: float) -> str:
 def _cmd_synth(args) -> int:
     config = _effective_config(parse_config(args.config), {"seed": args.seed})
     dataset = _synth_dataset(config)
-    run_dir, run_id = _run_dir(args.out, "synth", config)
-    save_dataset(dataset, run_dir)
-    _write_run_manifest(run_dir, run_id, "synth", args, config)
+    with _run_dir(args, "synth", config) as (staging, run_dir):
+        save_dataset(dataset, staging)
     print(
         f"wrote {len(dataset.train)}/{len(dataset.val)}/{len(dataset.test)} "
         f"train/val/test examples to {run_dir}"
@@ -213,11 +239,11 @@ def _cmd_train(args) -> int:
     if dataset.task == "depth" and config.loss.kind == "softmax":
         raise ValueError("softmax loss needs class targets, not depth values")
     model, history = train(dataset, config)
-    run_dir, run_id = _run_dir(args.out, "train", mapping)
-    save_checkpoint(os.path.join(run_dir, "checkpoint.ccrf"), model)
-    history.write_csv(os.path.join(run_dir, "history.csv"))
     kept = history.kept_epoch
-    _write_run_manifest(run_dir, run_id, "train", args, mapping, kept_epoch=kept)
+    with _run_dir(args, "train", mapping, kept_epoch=kept) as (staging, run_dir):
+        save_checkpoint(os.path.join(staging, "checkpoint.ccrf"), model)
+        with open(os.path.join(staging, "history.csv"), "w") as fh:
+            fh.write(history.to_csv())
     last = history.records[-1] if history.records else None
     if last is not None:
         warmup = " (unary warm-up)" if kept < config.unary_warmup_epochs else ""
@@ -242,9 +268,8 @@ def _cmd_eval(args) -> int:
         scores = evaluate(model, examples, dataset.task, unary_only=unary_only)
         rows.append([variant] + [_fmt_metric(scores[key]) for key in keys])
     config = {"ckpt": args.ckpt, "data": args.data}
-    run_dir, run_id = _run_dir(args.out, "eval", config)
-    _write_table(run_dir, "metrics", ["variant", *_columns(keys)], rows)
-    _write_run_manifest(run_dir, run_id, "eval", args, config)
+    with _run_dir(args, "eval", config) as (staging, run_dir):
+        _write_table(staging, "metrics", ["variant", *_columns(keys)], rows)
     for row in rows:
         print("  ".join(str(cell) for cell in row))
     print(f"run dir {run_dir}")
@@ -357,16 +382,14 @@ def _cmd_ablate(args) -> int:
             for stem, x in plot_xs.items():
                 curves[stem][kind][0].append(x)
                 curves[stem][kind][1].append(scores[sweep.plot_metric])
-    run_dir, run_id = _run_dir(args.out, "ablate", mapping)
-    for stem, (title, xlabel, ylabel) in sweep.plots.items():
-        series = [(kind, xs, ys) for kind, (xs, ys) in curves[stem].items() if xs]
-        if series:
-            path = os.path.join(run_dir, f"{stem}.svg")
-            line_plot(path, series, title=title, xlabel=xlabel, ylabel=ylabel)
-
     header = [sweep.column, "loss", *_columns(sweep.sweep_metrics), "status"]
-    _write_table(run_dir, "ablate", header, rows)
-    _write_run_manifest(run_dir, run_id, "ablate", args, mapping)
+    with _run_dir(args, "ablate", mapping) as (staging, run_dir):
+        for stem, (title, xlabel, ylabel) in sweep.plots.items():
+            series = [(kind, xs, ys) for kind, (xs, ys) in curves[stem].items() if xs]
+            if series:
+                path = os.path.join(staging, f"{stem}.svg")
+                line_plot(path, series, title=title, xlabel=xlabel, ylabel=ylabel)
+        _write_table(staging, "ablate", header, rows)
     for row in rows:
         print("  ".join(str(cell) for cell in row))
     print(f"run dir {run_dir}")

@@ -24,8 +24,12 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss {self.kind!r}, expected one of {LOSS_KINDS}")
-        if not (np.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"clipping constant must be finite and positive, got {self.c}")
+        _check_clip(self.c)
+
+
+def _check_clip(c: float) -> None:
+    if not (np.isfinite(c) and c > 0):
+        raise ValueError(f"clipping constant must be finite and positive, got {c}")
 
 
 def _check_pair(predicted, targets):
@@ -86,8 +90,7 @@ def tukey_loss(predicted, targets, c: float = 1.0):
     The gradient w.r.t. the prediction is -psi(r): clipped residuals
     contribute exactly zero, which is what makes the loss robust.
     """
-    if c <= 0:
-        raise ValueError(f"clipping constant must be positive, got {c}")
+    _check_clip(c)
     yhat, y = _check_pair(predicted, targets)
     r = y - yhat
     return float(tukey_rho(r, c).sum()), -tukey_psi(r, c)

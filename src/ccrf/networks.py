@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crf import Workspace, gaussian_affinity, gaussian_backward
-from .gridio import atomic_open
 
 CHECKPOINT_MAGIC = b"CCRF2"
 
@@ -258,7 +257,7 @@ def build_model(
 
 def save_checkpoint(path, model: Model) -> None:
     """Write the magic, each net's layer widths, ``gamma``, then ``model.flat``."""
-    with atomic_open(path, "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         for mlp in (model.unary, model.pairwise.embed):
             widths = [mlp.input_dim, *(w.shape[1] for w in mlp.weights)]

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-from .gridio import atomic_open
-
 _COLORS = ("#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df", "#bf3989")
 _WIDTH, _HEIGHT = 640, 440
 _MAX_TICKS = 6
@@ -115,5 +113,5 @@ def line_plot(path, series, *, title: str, xlabel: str, ylabel: str) -> None:
         )
         parts.append(f'<text x="{left + plot_w - 84}" y="{legend_y}">{label}</text>')
     parts.append("</svg>")
-    with atomic_open(path) as fh:
+    with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -27,7 +27,6 @@ from .crf import (
 )
 from .datasets import Dataset
 from .graph import NodeGraph, build_graph
-from .gridio import atomic_open
 from .losses import LossSpec, predict_labels, task_loss
 from .metrics import depth_metrics, seg_metrics
 from .networks import (
@@ -255,10 +254,6 @@ class TrainHistory:
                 ]
             )
         return out.getvalue()
-
-    def write_csv(self, path) -> None:
-        with atomic_open(path, newline="") as fh:
-            fh.write(self.to_csv())
 
 
 def _predictions(

@@ -1,6 +1,8 @@
 import json
 import os
+import pathlib
 import re
+import stat
 import struct
 import subprocess
 import sys
@@ -25,7 +27,7 @@ from ccrf import (
     save_dataset,
     synth_dataset,
 )
-from ccrf import datasets
+from ccrf import datasets, gridio, networks, svgplot
 from ccrf.cli import parse_config
 from ccrf.cli import train_config as config_from_mapping
 from ccrf.datasets import write_manifest
@@ -288,8 +290,12 @@ class TestSynth:
         monkeypatch.setattr(datasets, "write_f32grids", interrupted)
         assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "data")]) == 2
         monkeypatch.undo()
-        data = only_run_dir(tmp_path / "data", "synth")
-        assert any(name.startswith("train_") for name in os.listdir(data))
+        assert os.listdir(tmp_path / "data") == []
+        # where a finished run would have put the dataset
+        finished = cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "elsewhere")])
+        assert finished == 0
+        name = os.path.basename(only_run_dir(tmp_path / "elsewhere", "synth"))
+        data = str(tmp_path / "data" / name)
         out = tmp_path / "runs"
         assert cli.main(["train", "--config", cfg, "--data", data, "--out", str(out)]) == 2
         assert "no train/val manifest found" in capsys.readouterr().err
@@ -764,3 +770,134 @@ class TestAblate:
         assert not (tmp_path / "runs").exists()
         err = capsys.readouterr().err
         assert "sigma" in err or "magnitude" in err
+
+
+class _HalfWrite:
+    """A file whose first write stores half its data and then raises."""
+
+    def __init__(self, fh, error):
+        self.fh, self.error = fh, error
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise self.error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def fail_nth_write(patch, n, error=None):
+    """Make the ``n``-th file the program opens for writing fail halfway
+    (``n=None``: none); returns the list of paths opened for writing."""
+    opened = []
+
+    def opening(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+        opened.append(path)
+        if len(opened) - 1 != n:
+            return fh
+        return _HalfWrite(fh, error or OSError("simulated full disk"))
+
+    for module in (gridio, datasets, networks, svgplot, cli):
+        patch.setattr(module, "open", opening, raising=False)
+    return opened
+
+
+def snapshot(directory):
+    return {path.name: path.read_bytes() for path in pathlib.Path(directory).iterdir()}
+
+
+class TestRunDir:
+    """A run directory appears whole, with one rename, or not at all."""
+
+    def argv(self, tmp_path, command):
+        """``command``'s arguments but ``--out``, its inputs made first."""
+        cfg = seg_config(tmp_path, ablate_classes="2,3", epochs=1, warmup_epochs=0)
+        if command in ("synth", "ablate"):
+            return [command, "--config", cfg]
+        data = synth_into(tmp_path, cfg)
+        if command == "train":
+            return ["train", "--config", cfg, "--data", data]
+        runs = str(tmp_path / "train_runs")
+        assert cli.main(["train", "--config", cfg, "--data", data, "--out", runs]) == 0
+        ckpt = os.path.join(only_run_dir(runs, "train"), "checkpoint.ccrf")
+        return ["eval", "--ckpt", ckpt, "--data", data]
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "ablate"])
+    def test_each_failed_write_leaves_no_run(self, tmp_path, capsys, monkeypatch, command):
+        argv = self.argv(tmp_path, command)
+        with monkeypatch.context() as patch:
+            opened = fail_nth_write(patch, None)
+            assert cli.main([*argv, "--out", str(tmp_path / "whole")]) == 0
+        written = os.listdir(only_run_dir(tmp_path / "whole", command))
+        assert sorted(os.path.basename(path) for path in opened) == sorted(written)
+        for n in range(len(opened)):
+            out = tmp_path / f"failed{n}"
+            with monkeypatch.context() as patch:
+                fail_nth_write(patch, n)
+                assert cli.main([*argv, "--out", str(out)]) == 2
+            assert "simulated full disk" in capsys.readouterr().err
+            assert os.listdir(out) == []
+
+    def test_interrupt_leaves_no_run(self, tmp_path, monkeypatch):
+        argv = self.argv(tmp_path, "train")
+        out = tmp_path / "runs"
+        with monkeypatch.context() as patch:
+            fail_nth_write(patch, 1, KeyboardInterrupt())
+            with pytest.raises(KeyboardInterrupt):
+                cli.main([*argv, "--out", str(out)])
+        assert os.listdir(out) == []
+
+    def test_rerun_replaces_the_earlier_run(self, tmp_path):
+        cfg = seg_config(tmp_path)
+        run_dir = synth_into(tmp_path, cfg)
+        written = sorted(os.listdir(run_dir))
+        with open(os.path.join(run_dir, "stray.txt"), "w") as fh:
+            fh.write("not written by synth\n")
+        assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "data")]) == 0
+        assert os.listdir(tmp_path / "data") == [os.path.basename(run_dir)]
+        assert sorted(os.listdir(run_dir)) == written
+
+    @pytest.mark.parametrize("failing", ["write", "rename"])
+    def test_interrupted_rerun_keeps_the_earlier_run(self, tmp_path, monkeypatch, failing):
+        cfg = seg_config(tmp_path)
+        run_dir = synth_into(tmp_path, cfg)
+        earlier = snapshot(run_dir)
+        rename = os.rename
+
+        def failing_rename(src, dst):
+            if str(src).endswith(".tmp"):
+                raise OSError("simulated rename failure")
+            rename(src, dst)
+
+        with monkeypatch.context() as patch:
+            if failing == "write":
+                fail_nth_write(patch, 2)
+            else:
+                patch.setattr(os, "rename", failing_rename)
+            assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "data")]) == 2
+        assert os.listdir(tmp_path / "data") == [os.path.basename(run_dir)]
+        assert snapshot(run_dir) == earlier
+
+    def test_leftovers_of_a_dead_run_with_this_pid_go(self, tmp_path):
+        cfg = seg_config(tmp_path)
+        run_dir = synth_into(tmp_path, cfg)
+        name = os.path.basename(run_dir)
+        for suffix in ("tmp", "old"):
+            leftover = tmp_path / "data" / f".{name}.{os.getpid()}.{suffix}"
+            leftover.mkdir()
+            (leftover / "train_0000.f32grids").write_bytes(b"half")
+        assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "data")]) == 0
+        assert os.listdir(tmp_path / "data") == [name]
+
+    def test_mode_is_that_of_a_plain_mkdir(self, tmp_path):
+        run_dir = synth_into(tmp_path, seg_config(tmp_path))
+        sibling = tmp_path / "data" / "sibling"
+        os.mkdir(sibling)
+        assert stat.S_IMODE(os.stat(run_dir).st_mode) == stat.S_IMODE(os.stat(sibling).st_mode)

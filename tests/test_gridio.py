@@ -1,16 +1,9 @@
 import struct
-from argparse import Namespace
 
 import numpy as np
 import pytest
 
-from ccrf import build_model, gridio, save_checkpoint
-from ccrf.cli import _write_run_manifest, _write_table
-from ccrf.datasets import LabeledExample, write_manifest
-from ccrf.graph import ImageGrid, SuperpixelSegmentation
-from ccrf.gridio import atomic_open, read_f32grids, write_f32grids
-from ccrf.svgplot import line_plot
-from ccrf.training import EpochRecord, TrainHistory
+from ccrf.gridio import read_f32grids, write_f32grids
 
 
 def test_f32grid_roundtrip_2d(tmp_path):
@@ -102,86 +95,3 @@ def test_f32grids_rejects_truncated_second_record(tmp_path, end, message):
     path.write_bytes(path.read_bytes()[:end])
     with pytest.raises(ValueError, match=message):
         read_f32grids(path, 2)
-
-
-class _HalfWriteFile:
-    """A file whose first write stores half its data and then fails."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def write(self, data):
-        self.fh.write(data[: len(data) // 2])
-        self.fh.flush()
-        raise OSError("simulated full disk")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-
-_EXAMPLE = LabeledExample(
-    ImageGrid(np.full((8, 8), 0.5)), SuperpixelSegmentation(np.zeros((8, 8), dtype=int), 1), np.ones((1, 1))
-)
-_MODEL = build_model(np.random.default_rng(0), 4, 2, (3,), (3,), 2)
-_HISTORY = TrainHistory("rmse", [EpochRecord(0, 1.5, 0.25, 1.0, 0.5)])
-# every artifact writer, each writing into a directory
-WRITERS = {
-    "checkpoint": lambda d: save_checkpoint(d / "checkpoint.ccrf", _MODEL),
-    "grid": lambda d: write_f32grids(d / "a.f32grid", [np.arange(6.0).reshape(2, 3)]),
-    "history": lambda d: _HISTORY.write_csv(d / "history.csv"),
-    "svg": lambda d: line_plot(
-        d / "plot.svg", [("a", [0, 1], [2.0, 3.0])], title="t", xlabel="x", ylabel="y"
-    ),
-    "split_manifest": lambda d: write_manifest(d, "train", "depth", []),
-    "example_file": lambda d: write_manifest(d, "train", "depth", [_EXAMPLE]),
-    "run_manifest": lambda d: _write_run_manifest(
-        str(d), "abc", "eval", Namespace(config=None), {"seed": "0"}
-    ),
-    "metrics": lambda d: _write_table(str(d), "metrics", ["a", "b"], [[1, 2]]),
-}
-
-
-def _snapshot(directory):
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
-
-
-@pytest.mark.parametrize("writer", sorted(WRITERS))
-def test_interrupted_writer_leaves_no_partial_file(tmp_path, monkeypatch, writer):
-    write = WRITERS[writer]
-    real_open = open
-
-    def failing_open(*args, **kwargs):
-        return _HalfWriteFile(real_open(*args, **kwargs))
-
-    with monkeypatch.context() as patch:
-        patch.setattr(gridio, "open", failing_open, raising=False)
-        with pytest.raises(OSError, match="simulated"):
-            write(tmp_path)
-    assert _snapshot(tmp_path) == {}
-
-    write(tmp_path)
-    earlier = _snapshot(tmp_path)
-    assert earlier
-    with monkeypatch.context() as patch:
-        patch.setattr(gridio, "open", failing_open, raising=False)
-        with pytest.raises(OSError, match="simulated"):
-            write(tmp_path)
-    assert _snapshot(tmp_path) == earlier
-
-
-def test_atomic_open_keeps_the_earlier_file_when_the_block_raises(tmp_path):
-    path = tmp_path / "a.txt"
-    path.write_text("earlier")
-    with pytest.raises(KeyboardInterrupt):
-        with atomic_open(path) as fh:
-            fh.write("half of the new")
-            raise KeyboardInterrupt
-    assert path.read_text() == "earlier"
-    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
-    with atomic_open(path) as fh:
-        fh.write("new")
-    assert path.read_text() == "new"
-    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]

@@ -160,6 +160,11 @@ class TestTukey:
         fd = central_diff(lambda: tukey_loss(yhat, y, 1.0)[0], yhat)
         assert grad_rel_err([grad], [fd]) < 1e-6
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_a_cutoff_that_is_not_finite_and_positive(self, c):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            tukey_loss(np.zeros((3, 1)), np.ones((3, 1)), c)
+
 
 class TestLsLoss:
     def test_value_and_gradient(self):

@@ -413,13 +413,6 @@ class TestTrainHistory:
         assert lines[1].split(",")[0] == "0"
         assert lines[1].split(",")[1] == "1.23456789"  # ten significant digits
 
-    def test_write_csv(self, tmp_path):
-        hist = TrainHistory("rms")
-        hist.records.append(EpochRecord(0, 1.0, 2.0, 3.0, 4.0))
-        path = tmp_path / "history.csv"
-        hist.write_csv(path)
-        assert path.read_text() == hist.to_csv()
-
 
 class TestEvaluate:
     def test_segmentation_metrics_present(self):
