@@ -1,10 +1,15 @@
-"""Shared test utilities: finite differences and random valid inputs."""
+"""Shared test utilities: finite differences, random valid inputs and CLI
+runs whose file writes fail on demand."""
+
+import os
+import pathlib
 
 import numpy as np
 from scipy import ndimage
 from scipy.linalg.blas import dgemm
 
-from ccrf import ImageGrid, NodeGraph, SuperpixelSegmentation, assemble, build_graph, mlp_backward
+from ccrf import ImageGrid, NodeGraph, SuperpixelSegmentation, assemble, build_graph, cli, mlp_backward
+from ccrf import datasets, gridio, networks, svgplot
 from ccrf.crf import _check_scores
 from ccrf.gridio import read_f32grids, write_f32grids
 from ccrf.networks import sigmoid
@@ -226,3 +231,95 @@ def set_example_value(path, record, index, value):
     arrays = read_f32grids(path, len(EXAMPLE_RECORDS))
     arrays[EXAMPLE_RECORDS.index(record)][index] = value
     write_f32grids(path, arrays)
+
+
+def write_config(path, **kv):
+    lines = [f"{key}={value}" for key, value in kv.items()]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def seg_config(tmp_path, name="run.cfg", **extra):
+    base = dict(
+        task="segmentation", size=32, classes=3, shape_count=3,
+        noise_level=0.1, target_nodes=12, count=4,
+        train_frac=0.5, val_frac=0.25,
+        epochs=2, warmup_epochs=1, lr="0.01",
+        hidden_dims=8, embed_hidden_dims=8, embed_dim=4,
+    )
+    base.update(extra)
+    return write_config(tmp_path / name, **base)
+
+
+def only_run_dir(root, command):
+    entries = [e for e in os.listdir(root) if e.startswith(f"{command}-")]
+    assert len(entries) == 1, entries
+    return os.path.join(root, entries[0])
+
+
+def synth_into(tmp_path, cfg):
+    out = str(tmp_path / "data")
+    assert cli.main(["synth", "--config", cfg, "--out", out]) == 0
+    return only_run_dir(out, "synth")
+
+
+def command_argv(tmp_path, command):
+    """Small segmentation arguments for ``command`` (synth, train, eval or
+    ablate) but ``--out``; its inputs are made first."""
+    cfg = seg_config(tmp_path, ablate_classes="2,3", epochs=1, warmup_epochs=0)
+    if command in ("synth", "ablate"):
+        return [command, "--config", cfg]
+    data = synth_into(tmp_path, cfg)
+    if command == "train":
+        return ["train", "--config", cfg, "--data", data]
+    runs = str(tmp_path / "train_runs")
+    assert cli.main(["train", "--config", cfg, "--data", data, "--out", runs]) == 0
+    ckpt = os.path.join(only_run_dir(runs, "train"), "checkpoint.ccrf")
+    return ["eval", "--ckpt", ckpt, "--data", data]
+
+
+class _HalfWrite:
+    """A file whose first write stores half its data and then raises."""
+
+    def __init__(self, fh, error):
+        self.fh, self.error = fh, error
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise self.error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def fail_writes(patch, failing, error=None):
+    """Make each file the program opens for writing fail halfway when
+    ``failing(index, path)`` holds; returns the list of paths opened for
+    writing."""
+    opened = []
+
+    def opening(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if "w" not in mode:
+            return fh
+        opened.append(path)
+        if not failing(len(opened) - 1, path):
+            return fh
+        return _HalfWrite(fh, error or OSError("simulated full disk"))
+
+    for module in (gridio, datasets, networks, svgplot, cli):
+        patch.setattr(module, "open", opening, raising=False)
+    return opened
+
+
+def fail_nth_write(patch, n, error=None):
+    """``fail_writes`` on the ``n``-th write only (``n=None``: none)."""
+    return fail_writes(patch, lambda index, path: index == n, error)
+
+
+def snapshot(directory):
+    return {path.name: path.read_bytes() for path in pathlib.Path(directory).iterdir()}

@@ -1,6 +1,5 @@
 import json
 import os
-import pathlib
 import re
 import stat
 import struct
@@ -27,32 +26,24 @@ from ccrf import (
     save_dataset,
     synth_dataset,
 )
-from ccrf import datasets, gridio, networks, svgplot
+from ccrf import datasets
 from ccrf.cli import parse_config
 from ccrf.cli import train_config as config_from_mapping
 from ccrf.datasets import write_manifest
 
-from helpers import set_example_value, voronoi_segment
+from helpers import (
+    command_argv,
+    fail_nth_write,
+    only_run_dir,
+    seg_config,
+    set_example_value,
+    snapshot,
+    synth_into,
+    voronoi_segment,
+    write_config,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def write_config(path, **kv):
-    lines = [f"{key}={value}" for key, value in kv.items()]
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
-
-
-def seg_config(tmp_path, name="run.cfg", **extra):
-    base = dict(
-        task="segmentation", size=32, classes=3, shape_count=3,
-        noise_level=0.1, target_nodes=12, count=4,
-        train_frac=0.5, val_frac=0.25,
-        epochs=2, warmup_epochs=1, lr="0.01",
-        hidden_dims=8, embed_hidden_dims=8, embed_dim=4,
-    )
-    base.update(extra)
-    return write_config(tmp_path / name, **base)
 
 
 def depth_config(tmp_path, name="run.cfg", **extra):
@@ -65,12 +56,6 @@ def depth_config(tmp_path, name="run.cfg", **extra):
     )
     base.update(extra)
     return write_config(tmp_path / name, **base)
-
-
-def only_run_dir(root, command):
-    entries = [e for e in os.listdir(root) if e.startswith(f"{command}-")]
-    assert len(entries) == 1, entries
-    return os.path.join(root, entries[0])
 
 
 class TestConfigParsing:
@@ -307,12 +292,6 @@ class TestSynth:
         assert code == 2
         assert "seed must be nonnegative, got -3" in capsys.readouterr().err
         assert not out.exists()
-
-
-def synth_into(tmp_path, cfg):
-    out = str(tmp_path / "data")
-    assert cli.main(["synth", "--config", cfg, "--out", out]) == 0
-    return only_run_dir(out, "synth")
 
 
 class TestTrain:
@@ -772,66 +751,12 @@ class TestAblate:
         assert "sigma" in err or "magnitude" in err
 
 
-class _HalfWrite:
-    """A file whose first write stores half its data and then raises."""
-
-    def __init__(self, fh, error):
-        self.fh, self.error = fh, error
-
-    def write(self, data):
-        self.fh.write(data[: len(data) // 2])
-        self.fh.flush()
-        raise self.error
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-
-def fail_nth_write(patch, n, error=None):
-    """Make the ``n``-th file the program opens for writing fail halfway
-    (``n=None``: none); returns the list of paths opened for writing."""
-    opened = []
-
-    def opening(path, mode="r", *args, **kwargs):
-        fh = open(path, mode, *args, **kwargs)
-        if "w" not in mode:
-            return fh
-        opened.append(path)
-        if len(opened) - 1 != n:
-            return fh
-        return _HalfWrite(fh, error or OSError("simulated full disk"))
-
-    for module in (gridio, datasets, networks, svgplot, cli):
-        patch.setattr(module, "open", opening, raising=False)
-    return opened
-
-
-def snapshot(directory):
-    return {path.name: path.read_bytes() for path in pathlib.Path(directory).iterdir()}
-
-
 class TestRunDir:
     """A run directory appears whole, with one rename, or not at all."""
 
-    def argv(self, tmp_path, command):
-        """``command``'s arguments but ``--out``, its inputs made first."""
-        cfg = seg_config(tmp_path, ablate_classes="2,3", epochs=1, warmup_epochs=0)
-        if command in ("synth", "ablate"):
-            return [command, "--config", cfg]
-        data = synth_into(tmp_path, cfg)
-        if command == "train":
-            return ["train", "--config", cfg, "--data", data]
-        runs = str(tmp_path / "train_runs")
-        assert cli.main(["train", "--config", cfg, "--data", data, "--out", runs]) == 0
-        ckpt = os.path.join(only_run_dir(runs, "train"), "checkpoint.ccrf")
-        return ["eval", "--ckpt", ckpt, "--data", data]
-
     @pytest.mark.parametrize("command", ["synth", "train", "eval", "ablate"])
     def test_each_failed_write_leaves_no_run(self, tmp_path, capsys, monkeypatch, command):
-        argv = self.argv(tmp_path, command)
+        argv = command_argv(tmp_path, command)
         with monkeypatch.context() as patch:
             opened = fail_nth_write(patch, None)
             assert cli.main([*argv, "--out", str(tmp_path / "whole")]) == 0
@@ -846,7 +771,7 @@ class TestRunDir:
             assert os.listdir(out) == []
 
     def test_interrupt_leaves_no_run(self, tmp_path, monkeypatch):
-        argv = self.argv(tmp_path, "train")
+        argv = command_argv(tmp_path, "train")
         out = tmp_path / "runs"
         with monkeypatch.context() as patch:
             fail_nth_write(patch, 1, KeyboardInterrupt())

@@ -1,9 +1,13 @@
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from ccrf import cli
 from ccrf.gridio import read_f32grids, write_f32grids
+
+from helpers import command_argv, fail_writes, only_run_dir, snapshot
 
 
 def test_f32grid_roundtrip_2d(tmp_path):
@@ -95,3 +99,44 @@ def test_f32grids_rejects_truncated_second_record(tmp_path, end, message):
     path.write_bytes(path.read_bytes()[:end])
     with pytest.raises(ValueError, match=message):
         read_f32grids(path, 2)
+
+
+# every artifact writer, as the command that runs it and the file it writes;
+# synth writes the train split, with its manifest, before val_0000 and val.manifest
+WRITERS = {
+    "checkpoint": ("train", "checkpoint.ccrf"),
+    "example_file": ("synth", "val_0000.f32grids"),
+    "grid": ("synth", "train_0000.f32grids"),
+    "history": ("train", "history.csv"),
+    "metrics": ("eval", "metrics.csv"),
+    "run_manifest": ("synth", "manifest.json"),
+    "split_manifest": ("synth", "val.manifest"),
+    "svg": ("ablate", "pixel_acc_vs_classes.svg"),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_interrupted_writer_leaves_no_partial_file(tmp_path, monkeypatch, writer):
+    """A writer failing halfway inside a run leaves no file of that run
+    visible, and keeps an earlier run of the same command byte-identical."""
+    command, name = WRITERS[writer]
+    argv = command_argv(tmp_path, command)
+    out = tmp_path / "runs"
+
+    def run(failing):
+        with monkeypatch.context() as patch:
+            opened = fail_writes(patch, lambda index, path: failing and os.path.basename(path) == name)
+            code = cli.main([*argv, "--out", str(out)])
+        assert name in map(os.path.basename, opened)
+        return code
+
+    assert run(failing=True) == 2
+    assert os.listdir(out) == []
+
+    assert run(failing=False) == 0
+    run_dir = only_run_dir(out, command)
+    earlier = snapshot(run_dir)
+    assert name in earlier
+    assert run(failing=True) == 2
+    assert os.listdir(out) == [os.path.basename(run_dir)]
+    assert snapshot(run_dir) == earlier
